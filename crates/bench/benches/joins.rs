@@ -1,11 +1,11 @@
 //! Criterion head-to-head of the distance-join algorithms at a selective
-//! radius — documents why the dual-tree joins serve as fast ground truth
-//! for the accuracy experiments.
+//! radius — documents why the sweeps and the kd-tree serve as fast ground
+//! truth for the accuracy experiments.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sjpl_datagen::{roads, water};
 use sjpl_geom::{Metric, Point};
-use sjpl_index::{pair_count, DynRTree, JoinAlgorithm, KdTree, RTree, ZOrderIndex};
+use sjpl_index::{pair_count, JoinAlgorithm, KdTree};
 
 fn join_algorithms(c: &mut Criterion) {
     let mut g = c.benchmark_group("joins/algorithms");
@@ -46,7 +46,7 @@ fn join_metrics(c: &mut Criterion) {
     g.finish();
 }
 
-fn range_query_structures(c: &mut Criterion) {
+fn range_query(c: &mut Criterion) {
     let mut g = c.benchmark_group("joins/range_query");
     let data = roads::street_network(20_000, 7);
     let queries: Vec<Point<2>> = water::drainage(200, 8).points().to_vec();
@@ -61,51 +61,19 @@ fn range_query_structures(c: &mut Criterion) {
                 .sum::<u64>()
         })
     });
-    let rt = RTree::build(data.points());
-    g.bench_function("r-tree (STR)", |b| {
-        b.iter(|| {
-            queries
-                .iter()
-                .map(|q| rt.range_count(q, r, Metric::Linf))
-                .sum::<u64>()
-        })
-    });
-    let dyn_rt = DynRTree::from_points(data.points());
-    g.bench_function("r-tree (dynamic)", |b| {
-        b.iter(|| {
-            queries
-                .iter()
-                .map(|q| dyn_rt.range_count(q, r, Metric::Linf))
-                .sum::<u64>()
-        })
-    });
-    let z = ZOrderIndex::build(data.points());
-    g.bench_function("z-order", |b| {
-        b.iter(|| {
-            queries
-                .iter()
-                .map(|q| z.range_count(q, r, Metric::Linf))
-                .sum::<u64>()
-        })
-    });
     g.finish();
 }
 
-fn index_build_cost(c: &mut Criterion) {
+fn index_build(c: &mut Criterion) {
     let mut g = c.benchmark_group("joins/index_build");
     let data = roads::street_network(20_000, 9);
     g.bench_function("kd-tree", |b| b.iter(|| KdTree::build(data.points())));
-    g.bench_function("r-tree (STR)", |b| b.iter(|| RTree::build(data.points())));
-    g.bench_function("r-tree (dynamic)", |b| {
-        b.iter(|| DynRTree::from_points(data.points()))
-    });
-    g.bench_function("z-order", |b| b.iter(|| ZOrderIndex::build(data.points())));
     g.finish();
 }
 
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = join_algorithms, join_metrics, range_query_structures, index_build_cost
+    targets = join_algorithms, join_metrics, range_query, index_build
 }
 criterion_main!(benches);

@@ -61,7 +61,7 @@ fn self_errors(a: &PointSet<2>) -> (f64, f64) {
         .expect("bops")
         .fit(&opts)
         .expect("fit");
-    let exact = |r: f64| self_pair_count(JoinAlgorithm::Grid, a.points(), r, Metric::Linf);
+    let exact = |r: f64| self_pair_count(JoinAlgorithm::ParSweep, a.points(), r, Metric::Linf);
     (law_error(&pc, exact), law_error(&bops, exact))
 }
 

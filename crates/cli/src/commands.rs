@@ -78,8 +78,8 @@ options:
                        join (SJPL_JOIN_THREADS also honored) [default: all CPUs]
   --method <m>         pc | bops (estimate, catalog-add)  [default bops]
   --engine <e>         BOPS engine: auto | sorted | hashmap  [default auto]
-  --algo <a>           nested-loop | grid | kd-tree | r-tree | plane-sweep |
-                       par-sweep | z-order          [default par-sweep]
+  --algo <a>           nested-loop | kd-tree | plane-sweep | par-sweep
+                                                    [default par-sweep]
   -k <n>               neighbor count for knn         [default 1]
   --trace[=json|pretty]  record spans/counters/gauges while the command runs
                        and print the snapshot to stderr (stdout stays clean
@@ -863,16 +863,14 @@ fn run_typed<const D: usize>(o: &Options, kind: CmdKind) -> Result<(), String> {
         }
         CmdKind::Join => {
             let r = o.radius.ok_or("join needs --radius")?;
-            let algo = match o.algo.as_deref().unwrap_or("par-sweep") {
-                "nested-loop" => JoinAlgorithm::NestedLoop,
-                "grid" => JoinAlgorithm::Grid,
-                "kd-tree" => JoinAlgorithm::KdTree,
-                "r-tree" => JoinAlgorithm::RTree,
-                "plane-sweep" => JoinAlgorithm::PlaneSweep,
-                "par-sweep" => JoinAlgorithm::ParSweep,
-                "z-order" => JoinAlgorithm::ZOrder,
-                other => return Err(format!("unknown algorithm {other:?}")),
-            };
+            let name = o.algo.as_deref().unwrap_or("par-sweep");
+            let algo = JoinAlgorithm::ALL
+                .into_iter()
+                .find(|a| a.name() == name)
+                .ok_or_else(|| {
+                    let names: Vec<&str> = JoinAlgorithm::ALL.iter().map(|a| a.name()).collect();
+                    format!("unknown algorithm {name:?} (one of {})", names.join(", "))
+                })?;
             let t0 = std::time::Instant::now();
             // Par-sweep is the one algorithm with a thread knob: route
             // `--threads` to it directly so the dispatch enum (which uses
@@ -1009,15 +1007,38 @@ mod tests {
         args.iter().map(|s| s.to_string()).collect()
     }
 
-    fn tmpdir() -> std::path::PathBuf {
-        let d = std::env::temp_dir().join(format!("sjpl_cli_test_{}", std::process::id()));
+    /// A scratch directory owned by one test and removed when dropped
+    /// (also on panic), so tests running in parallel never share or
+    /// delete each other's files.
+    struct TempDir(std::path::PathBuf);
+
+    impl std::ops::Deref for TempDir {
+        type Target = std::path::Path;
+        fn deref(&self) -> &std::path::Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            std::fs::remove_dir_all(&self.0).ok();
+        }
+    }
+
+    /// A fresh directory named from the test, the process and a counter.
+    fn tmpdir(test: &str) -> TempDir {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let d = std::env::temp_dir().join(format!("sjpl_cli_{test}_{}_{n}", std::process::id()));
         std::fs::create_dir_all(&d).unwrap();
-        d
+        TempDir(d)
     }
 
     #[test]
     fn generate_then_analyze_roundtrip() {
-        let dir = tmpdir();
+        let _obs = crate::obs_lock();
+        let dir = tmpdir("generate_then_analyze_roundtrip");
         let path = dir.join("sier.csv");
         let p = path.to_str().unwrap();
         run(&sv(&["generate", "sierpinski", "3000", "7", p])).unwrap();
@@ -1027,13 +1048,34 @@ mod tests {
         run(&sv(&["pc-plot", p, "--bins", "16"])).unwrap();
         run(&sv(&["estimate", p, "-r", "0.05"])).unwrap();
         run(&sv(&["estimate", p, "-r", "0.05", "--method", "pc"])).unwrap();
-        run(&sv(&["join", p, "-r", "0.05", "--algo", "grid"])).unwrap();
-        std::fs::remove_dir_all(&dir).ok();
+        run(&sv(&["join", p, "-r", "0.05", "--algo", "kd-tree"])).unwrap();
+    }
+
+    #[test]
+    fn join_rejects_unknown_algorithms_and_lists_the_names() {
+        let _obs = crate::obs_lock();
+        let dir = tmpdir("join_rejects_unknown_algorithms_and_lists_the_names");
+        let path = dir.join("u.csv");
+        let p = path.to_str().unwrap();
+        run(&sv(&["generate", "uniform", "300", "1", p])).unwrap();
+        for name in ["nested-loop", "kd-tree", "plane-sweep", "par-sweep"] {
+            run(&sv(&["join", p, "-r", "0.05", "--algo", name])).unwrap();
+        }
+        for name in ["grid", "r-tree", "z-order", ""] {
+            let e = run(&sv(&["join", p, "-r", "0.05", "--algo", name])).unwrap_err();
+            assert_eq!(e.code, 1, "{e}");
+            assert!(
+                e.message
+                    .contains("nested-loop, kd-tree, plane-sweep, par-sweep"),
+                "{e}"
+            );
+        }
     }
 
     #[test]
     fn cross_join_via_two_files() {
-        let dir = tmpdir();
+        let _obs = crate::obs_lock();
+        let dir = tmpdir("cross_join_via_two_files");
         let pa = dir.join("a.csv");
         let pb = dir.join("b.csv");
         run(&sv(&[
@@ -1068,11 +1110,11 @@ mod tests {
             "0.02",
         ]))
         .unwrap();
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn errors_are_reported_not_panicked() {
+        let _obs = crate::obs_lock();
         assert!(run(&sv(&[])).is_err());
         assert!(run(&sv(&["frobnicate"])).is_err());
         assert!(run(&sv(&["generate", "nope", "10", "1", "/tmp/x.csv"])).is_err());
@@ -1083,19 +1125,19 @@ mod tests {
 
     #[test]
     fn detect_dim_reads_first_data_row() {
-        let dir = tmpdir();
+        let dir = tmpdir("detect_dim_reads_first_data_row");
         let p = dir.join("d4.csv");
         std::fs::write(&p, "# comment\nx,y,z,w\n1,2,3,4\n").unwrap();
         assert_eq!(detect_dim(p.to_str().unwrap()).unwrap(), 4);
         let empty = dir.join("empty.csv");
         std::fs::write(&empty, "# only comments\n").unwrap();
         assert!(detect_dim(empty.to_str().unwrap()).is_err());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn eigenfaces_generate_is_16d() {
-        let dir = tmpdir();
+        let _obs = crate::obs_lock();
+        let dir = tmpdir("eigenfaces_generate_is_16d");
         let p = dir.join("faces.csv");
         run(&sv(&[
             "generate",
@@ -1108,17 +1150,18 @@ mod tests {
         assert_eq!(detect_dim(p.to_str().unwrap()).unwrap(), 16);
         // 16-d: the high-dimensional BOPS schedule kicks in by default.
         run(&sv(&["dim", p.to_str().unwrap()])).unwrap();
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn help_succeeds() {
+        let _obs = crate::obs_lock();
         run(&sv(&["help"])).unwrap();
     }
 
     #[test]
     fn trace_writes_a_json_snapshot() {
-        let dir = tmpdir();
+        let _obs = crate::obs_lock();
+        let dir = tmpdir("trace_writes_a_json_snapshot");
         let data = dir.join("trace_in.csv");
         let obs = dir.join("obs.json");
         run(&sv(&[
@@ -1154,12 +1197,12 @@ mod tests {
         ] {
             assert!(json.contains(needle), "missing {needle:?} in:\n{json}");
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn trace_out_and_trace_export_produce_chrome_traces() {
-        let dir = tmpdir();
+        let _obs = crate::obs_lock();
+        let dir = tmpdir("trace_out_and_trace_export_produce_chrome_traces");
         let data = dir.join("chrome_in.csv");
         let obs = dir.join("chrome_obs.json");
         let direct = dir.join("direct_trace.json");
@@ -1229,12 +1272,12 @@ mod tests {
             exported.to_str().unwrap(),
         ]))
         .is_err());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn estimate_records_accuracy_in_the_snapshot() {
-        let dir = tmpdir();
+        let _obs = crate::obs_lock();
+        let dir = tmpdir("estimate_records_accuracy_in_the_snapshot");
         let data = dir.join("acc.csv");
         let obs = dir.join("acc_obs.json");
         run(&sv(&[
@@ -1269,12 +1312,12 @@ mod tests {
         assert_eq!(rec.get("radius").unwrap().as_f64(), Some(0.05));
         assert_eq!(rec.get("true_pc").unwrap().as_f64(), Some(10000.0));
         assert!(rec.get("rel_error").unwrap().as_f64().is_some());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn regress_gate_passes_identical_and_fails_perturbed() {
-        let dir = tmpdir();
+        let _obs = crate::obs_lock();
+        let dir = tmpdir("regress_gate_passes_identical_and_fails_perturbed");
         let old = dir.join("old.json");
         let new = dir.join("new.json");
         let base = r#"{
@@ -1360,12 +1403,12 @@ mod tests {
         ]))
         .unwrap_err();
         assert_eq!(e.code, 1);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn serve_validates_its_inputs_before_binding() {
-        let dir = tmpdir();
+        let _obs = crate::obs_lock();
+        let dir = tmpdir("serve_validates_its_inputs_before_binding");
         // No catalog flag at all.
         let e = run(&sv(&["serve"])).unwrap_err();
         assert!(e.message.contains("--catalog"), "{e}");
@@ -1405,12 +1448,12 @@ mod tests {
         .unwrap_err();
         assert!(e.message.contains("ser_pts"), "{e}");
         assert!(e.message.contains("file stem"), "{e}");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn drift_probe_builds_from_a_catalog_law() {
-        let dir = tmpdir();
+        let _obs = crate::obs_lock();
+        let dir = tmpdir("drift_probe_builds_from_a_catalog_law");
         let data = dir.join("probe_law.csv");
         let cat = dir.join("probe_laws.tsv");
         run(&sv(&[
@@ -1449,7 +1492,6 @@ mod tests {
         assert!(truth > 0.0);
         let rel = (law.pair_count(mid) - truth).abs() / truth;
         assert!(rel < 1.0, "rel error {rel} vs sampled truth at r={mid}");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// The full acceptance loop: boot the daemon in-process, drive it with
@@ -1457,8 +1499,9 @@ mod tests {
     /// gate (identity passes; a perturbed throughput fails).
     #[test]
     fn loadtest_report_feeds_the_regress_gate() {
+        let _obs = crate::obs_lock();
         use std::sync::{Arc, Mutex};
-        let dir = tmpdir();
+        let dir = tmpdir("loadtest_report_feeds_the_regress_gate");
         let data = dir.join("lt_uniform.csv");
         let cat = dir.join("lt_laws.tsv");
         run(&sv(&[
@@ -1587,7 +1630,6 @@ mod tests {
         .unwrap_err();
         assert_eq!(e.code, 1);
         assert!(e.message.contains("throughput"), "{e}");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// The chaos acceptance loop: a daemon with the issue's seeded fault
@@ -1598,8 +1640,9 @@ mod tests {
     /// must fail the regress error-rate gate.
     #[test]
     fn chaos_loadtest_recovers_and_feeds_the_error_rate_gate() {
+        let _obs = crate::obs_lock();
         use std::sync::{Arc, Mutex};
-        let dir = tmpdir();
+        let dir = tmpdir("chaos_loadtest_recovers_and_feeds_the_error_rate_gate");
         let data = dir.join("chaos_uniform.csv");
         let cat = dir.join("chaos_laws.tsv");
         run(&sv(&[
@@ -1709,11 +1752,11 @@ mod tests {
         .unwrap_err();
         assert_eq!(e.code, 1);
         assert!(e.message.contains("error-rate"), "{e}");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn loadtest_rejects_a_dead_target_and_bad_args() {
+        let _obs = crate::obs_lock();
         // Nothing listens on this port (reserved, never assigned).
         assert!(run(&sv(&["loadtest", "127.0.0.1:9", "--duration", "0.1",])).is_err());
         assert!(run(&sv(&["loadtest", "a", "b"])).is_err());
@@ -1723,7 +1766,8 @@ mod tests {
 
     #[test]
     fn sample_command_writes_a_subset() {
-        let dir = tmpdir();
+        let _obs = crate::obs_lock();
+        let dir = tmpdir("sample_command_writes_a_subset");
         let full = dir.join("full.csv");
         let sub = dir.join("sub.csv");
         run(&sv(&[
@@ -1752,24 +1796,24 @@ mod tests {
             sub.to_str().unwrap()
         ]))
         .is_err());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn knn_command_works() {
-        let dir = tmpdir();
+        let _obs = crate::obs_lock();
+        let dir = tmpdir("knn_command_works");
         let p = dir.join("pts.csv");
         std::fs::write(&p, "0,0\n1,0\n0,1\n5,5\n").unwrap();
         run(&sv(&["knn", p.to_str().unwrap(), "0.1,0.1", "-k", "2"])).unwrap();
         // Wrong arity in the query point.
         assert!(run(&sv(&["knn", p.to_str().unwrap(), "0.1", "-k", "2"])).is_err());
         assert!(run(&sv(&["knn", p.to_str().unwrap(), "a,b"])).is_err());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn catalog_roundtrip_via_cli() {
-        let dir = tmpdir();
+        let _obs = crate::obs_lock();
+        let dir = tmpdir("catalog_roundtrip_via_cli");
         let data = dir.join("g.csv");
         let cat = dir.join("laws.tsv");
         run(&sv(&[
@@ -1816,6 +1860,5 @@ mod tests {
         .unwrap();
         let loaded = sjpl_core::LawCatalog::load(&cat).unwrap();
         assert_eq!(loaded.len(), 2);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -34,8 +34,17 @@ pub struct DashConfig {
 /// server's route table minus the debug endpoints (which show up anyway
 /// once they take traffic, via the `other`-safe skip of empty series).
 const ENDPOINTS: &[&str] = &[
-    "estimate", "healthz", "readyz", "metrics", "snapshot", "timeline", "alerts", "query",
-    "profile", "exemplars", "other",
+    "estimate",
+    "healthz",
+    "readyz",
+    "metrics",
+    "snapshot",
+    "timeline",
+    "alerts",
+    "query",
+    "profile",
+    "exemplars",
+    "other",
 ];
 
 /// The window the per-endpoint rate/error queries aggregate over.
@@ -86,7 +95,12 @@ fn query(addr: SocketAddr, expr: &str) -> Option<(f64, Vec<(u64, f64)>)> {
             c => vec![c],
         })
         .collect();
-    let body = fetch_body(addr, &format!("/query?expr={encoded}"), Duration::from_secs(5)).ok()?;
+    let body = fetch_body(
+        addr,
+        &format!("/query?expr={encoded}"),
+        Duration::from_secs(5),
+    )
+    .ok()?;
     let doc = Json::parse(&body).ok()?;
     let value = doc.get("value")?.as_f64()?;
     let samples = doc
@@ -263,7 +277,11 @@ fn render(addr: SocketAddr, frame: &Frame) -> String {
                 format!(
                     "{} {}",
                     &a.name["drift-".len()..],
-                    if a.state == "firing" { "BREACHED" } else { "ok" }
+                    if a.state == "firing" {
+                        "BREACHED"
+                    } else {
+                        "ok"
+                    }
                 )
             })
             .collect();
@@ -337,6 +355,7 @@ mod tests {
     /// the module API and via the `sjpl dash --frames 1` command path).
     #[test]
     fn one_frame_renders_against_a_live_daemon() {
+        let _obs = crate::obs_lock();
         let pts = sjpl_datagen::uniform::unit_cube::<2>(1_000, 7);
         let law = *sjpl_core::SelectivityEstimator::from_self(
             &pts,

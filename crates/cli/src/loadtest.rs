@@ -913,7 +913,15 @@ mod tests {
             ("slo-burn-estimate".to_owned(), "firing".to_owned()),
             ("drift-uniform".to_owned(), "resolved".to_owned()),
         ];
-        let text = render_report(&cfg, Duration::from_secs(2), &mut merged, 3, 5, &res, &fired);
+        let text = render_report(
+            &cfg,
+            Duration::from_secs(2),
+            &mut merged,
+            3,
+            5,
+            &res,
+            &fired,
+        );
         let doc = sjpl_obs::json::Json::parse(&text).unwrap_or_else(|e| panic!("{e}:\n{text}"));
         assert_eq!(doc.get("kind").unwrap().as_str(), Some("serve-loadtest"));
         let series = doc

@@ -23,6 +23,16 @@ mod regress;
 
 use std::process::ExitCode;
 
+/// Serializes the tests that run commands or in-process daemons. They
+/// share the process-wide obs recorder: in parallel, one test's reset or
+/// disable wipes the telemetry another asserts on, and an untraced command
+/// records its spans into another test's trace. Every such test holds it.
+#[cfg(test)]
+fn obs_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|p| p.into_inner())
+}
+
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match commands::run(&argv) {

@@ -1001,6 +1001,7 @@ mod tests {
 
     #[test]
     fn bops_emits_stage_spans_and_counters() {
+        let _obs = crate::obs_lock();
         // NOTE: the recorder is process-global and sibling tests run
         // concurrently, so assert lower bounds, not exact values.
         let a = uniform(5_000, 31);

@@ -402,6 +402,7 @@ mod tests {
 
     #[test]
     fn observed_estimates_emit_accuracy_records() {
+        let _obs = crate::obs_lock();
         let a = uniform::unit_cube::<2>(1_500, 21);
         let est =
             SelectivityEstimator::from_self(&a, EstimationMethod::Bops(BopsConfig::default()))

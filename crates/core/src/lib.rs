@@ -77,6 +77,14 @@ mod law;
 mod pc_plot;
 pub mod streaming;
 
+/// Serializes the unit tests that capture the process-wide obs recorder:
+/// each capture resets it, which would wipe a concurrent capture's data.
+#[cfg(test)]
+fn obs_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|p| p.into_inner())
+}
+
 pub use bops::{bops_plot_cross, bops_plot_self, BopsConfig, BopsEngine, BopsPlot};
 pub use catalog::LawCatalog;
 pub use error::CoreError;

@@ -282,7 +282,7 @@ mod tests {
         let plot = pc_plot_self(&a, &cfg).unwrap();
         assert_eq!(plot.kind(), JoinKind::SelfJoin);
         for (&r, &c) in plot.radii().iter().zip(plot.counts().iter()) {
-            let exact = self_pair_count(JoinAlgorithm::Grid, a.points(), r, Metric::Linf);
+            let exact = self_pair_count(JoinAlgorithm::ParSweep, a.points(), r, Metric::Linf);
             let diff = (c as i64 - exact as i64).unsigned_abs();
             assert!(diff <= 1 + exact / 1000, "r={r}: {c} vs {exact}");
         }

@@ -4,8 +4,8 @@ use crate::{Metric, Point};
 
 /// An axis-aligned bounding box in `D` dimensions.
 ///
-/// Boxes are the workhorse of the spatial indexes in `sjpl-index` (kd-tree
-/// node extents, R-tree entries, grid cells). The min/max distance helpers
+/// Boxes are the node extents of the kd-tree in `sjpl-index` and the
+/// bounds of every point set. The min/max distance helpers
 /// drive dual-tree pruning in the distance joins: a node pair whose
 /// `min_dist` exceeds the join radius contributes no pairs, and one whose
 /// `max_dist` is within the radius contributes *all* its pairs.

@@ -145,16 +145,34 @@ mod tests {
         assert!(set.is_empty());
     }
 
+    /// A scratch directory owned by one test and removed when dropped
+    /// (also on panic), so concurrent test runs never share files.
+    struct TempDir(std::path::PathBuf);
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            std::fs::remove_dir_all(&self.0).ok();
+        }
+    }
+
+    /// A fresh directory named from the test, the process and a counter.
+    fn tmpdir(test: &str) -> TempDir {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let d = std::env::temp_dir().join(format!("sjpl_geom_{test}_{}_{n}", std::process::id()));
+        std::fs::create_dir_all(&d).unwrap();
+        TempDir(d)
+    }
+
     #[test]
     fn file_roundtrip_and_name_from_stem() {
-        let dir = std::env::temp_dir().join("sjpl_geom_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("mydata.csv");
+        let dir = tmpdir("file_roundtrip_and_name_from_stem");
+        let path = dir.0.join("mydata.csv");
         let set = PointSet::new("ignored", vec![Point([1.0, 2.0, 3.0, 4.0])]);
         write_csv(&path, &set).unwrap();
         let back: PointSet<4> = read_csv(&path).unwrap();
         assert_eq!(back.name(), "mydata");
         assert_eq!(back.points(), set.points());
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -2,29 +2,22 @@
 //!
 //! Every algorithm computes the *same* pair counts (the paper's
 //! Definition 1 semantics); they differ only in cost profile. The
-//! cross-algorithm agreement tests and the join benchmarks dispatch through
-//! this module.
+//! cross-algorithm agreement tests, the join benchmarks and `sjpl join
+//! --algo` dispatch through this module.
 
 use sjpl_geom::{Metric, Point};
 
-use crate::grid::{grid_join_count, grid_self_join_count};
 use crate::kdtree::KdTree;
 use crate::partition::{par_sweep_join_count, par_sweep_self_join_count};
-use crate::rtree::RTree;
 use crate::sweep::{sweep_join_count, sweep_self_join_count};
-use crate::zorder::{zorder_join_count, zorder_self_join_count};
 
 /// The available distance-join algorithms.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum JoinAlgorithm {
     /// The O(N·M) double loop — the reference everything else must match.
     NestedLoop,
-    /// Hash-grid join with cell side = radius.
-    Grid,
     /// Dual kd-tree traversal with box pruning.
     KdTree,
-    /// Dual R-tree traversal with box pruning.
-    RTree,
     /// Sort-by-first-axis sliding-window sweep.
     PlaneSweep,
     /// Partitioned parallel plane sweep: rank-striped slabs along axis 0,
@@ -32,33 +25,24 @@ pub enum JoinAlgorithm {
     /// sweeps on scoped threads (thread count auto-resolved; see
     /// [`crate::partition::resolve_threads`]).
     ParSweep,
-    /// Z-order (Morton) sorted-array index with implicit-quadtree search
-    /// (the [ORE 86] approach of the paper's related work).
-    ZOrder,
 }
 
 impl JoinAlgorithm {
     /// All algorithms, for exhaustive tests/benches.
-    pub const ALL: [JoinAlgorithm; 7] = [
+    pub const ALL: [JoinAlgorithm; 4] = [
         JoinAlgorithm::NestedLoop,
-        JoinAlgorithm::Grid,
         JoinAlgorithm::KdTree,
-        JoinAlgorithm::RTree,
         JoinAlgorithm::PlaneSweep,
         JoinAlgorithm::ParSweep,
-        JoinAlgorithm::ZOrder,
     ];
 
     /// Short display name.
     pub fn name(&self) -> &'static str {
         match self {
             JoinAlgorithm::NestedLoop => "nested-loop",
-            JoinAlgorithm::Grid => "grid",
             JoinAlgorithm::KdTree => "kd-tree",
-            JoinAlgorithm::RTree => "r-tree",
             JoinAlgorithm::PlaneSweep => "plane-sweep",
             JoinAlgorithm::ParSweep => "par-sweep",
-            JoinAlgorithm::ZOrder => "z-order",
         }
     }
 }
@@ -106,12 +90,9 @@ pub fn pair_count<const D: usize>(
 ) -> u64 {
     match algo {
         JoinAlgorithm::NestedLoop => nested_cross(a, b, r, metric),
-        JoinAlgorithm::Grid => grid_join_count(a, b, r, metric),
         JoinAlgorithm::KdTree => KdTree::build(a).join_count(&KdTree::build(b), r, metric),
-        JoinAlgorithm::RTree => RTree::build(a).join_count(&RTree::build(b), r, metric),
         JoinAlgorithm::PlaneSweep => sweep_join_count(a, b, r, metric),
         JoinAlgorithm::ParSweep => par_sweep_join_count(a, b, r, metric, 0),
-        JoinAlgorithm::ZOrder => zorder_join_count(a, b, r, metric),
     }
 }
 
@@ -125,12 +106,9 @@ pub fn self_pair_count<const D: usize>(
 ) -> u64 {
     match algo {
         JoinAlgorithm::NestedLoop => nested_self(a, r, metric),
-        JoinAlgorithm::Grid => grid_self_join_count(a, r, metric),
         JoinAlgorithm::KdTree => KdTree::build(a).self_join_count(r, metric),
-        JoinAlgorithm::RTree => RTree::build(a).self_join_count(r, metric),
         JoinAlgorithm::PlaneSweep => sweep_self_join_count(a, r, metric),
         JoinAlgorithm::ParSweep => par_sweep_self_join_count(a, r, metric, 0),
-        JoinAlgorithm::ZOrder => zorder_self_join_count(a, r, metric),
     }
 }
 

@@ -1,21 +1,16 @@
-//! # sjpl-index — spatial indexes and exact distance joins
+//! # sjpl-index — exact distance joins
 //!
 //! The paper's ground truth is the exact pair count `PC(r)` — "the count of
-//! pairs within distance r or less" (Definition 1). This crate provides the
-//! machinery to compute that ground truth, plus the spatial-index join
-//! algorithms any real spatial DBMS would use to *execute* the join whose
-//! selectivity `sjpl-core` estimates:
+//! pairs within distance r or less" (Definition 1). This crate computes
+//! that ground truth with four exact join engines that return bit-identical
+//! counts, plus the quadratic histogram the paper measures BOPS against:
 //!
 //! * [`histogram`] — the quadratic pair-distance histogram: one O(N·M) pass
 //!   (optionally multi-threaded) yields `PC(r)` at every radius at once.
 //!   This is the paper's "PC-plot method" and the baseline for Table 5.
-//! * [`grid`] — a uniform hash-grid index with an ε-distance join.
-//! * [`kdtree`] — a bulk-built kd-tree with range counting and a dual-tree
-//!   distance-join counter.
-//! * [`rtree`] — an STR bulk-loaded R-tree with window queries and a
-//!   dual-tree distance join (the [BKS 93] style join of the related work).
-//! * [`rtree_dyn`] — an updatable Guttman R-tree (ChooseLeaf + quadratic
-//!   split) for workloads that insert while querying.
+//! * [`kdtree`] — a bulk-built kd-tree with range counting, kNN and a
+//!   dual-tree distance-join counter; the engine for high dimensions, where
+//!   an axis sweep prunes nothing.
 //! * [`sweep`] — a plane-sweep distance join for low dimensions, exposing
 //!   the per-partition forward-sweep kernels and the [`SortedByAxis`]
 //!   sort-once wrapper.
@@ -23,11 +18,10 @@
 //!   slabs, boundary-band replication with dedup-by-ownership, mini-
 //!   partition refinement for skew): the default exact-truth engine for
 //!   the accuracy pipeline.
-//! * [`zorder`] — a Morton-curve sorted-array index with implicit-quadtree
-//!   search (the [ORE 86] lineage the related work opens with), plus the
-//!   [`MortonKey`] interleaving trait reused by sjpl-core's BOPS engine.
-//! * [`join`] — one uniform entry point over all algorithms, used by the
-//!   cross-algorithm agreement tests and the benchmark harness.
+//! * [`join`] — one entry point over the nested-loop oracle and the three
+//!   engines above, used by the agreement tests and the benchmarks.
+//! * [`morton`] — the [`MortonKey`] interleaving trait behind sjpl-core's
+//!   sorted-Morton BOPS engine.
 //! * [`psort`] — parallel chunk-sort + merge for `Ord + Copy` arrays.
 //! * [`fxhash`] — the Fx multiplicative hasher and `FxHashMap` alias for
 //!   hot hash paths keyed by small integer tuples.
@@ -36,10 +30,9 @@
 //! `(a, b)` pairs (up to `N·M`); self joins omit self-pairs and count each
 //! unordered pair once (up to `N(N−1)/2`).
 //!
-//! When the [`sjpl_obs`] recorder is enabled, the dual-tree joins publish
+//! When the [`sjpl_obs`] recorder is enabled, the kd-tree joins publish
 //! traversal work as `index.node_visits` / `index.pruned_pairs` /
-//! `index.contained_pairs` / `index.candidate_pairs` counters, and the grid
-//! join publishes `index.grid.probes` / `index.grid.occupied_cells`.
+//! `index.contained_pairs` / `index.candidate_pairs` counters.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -47,27 +40,21 @@
 mod stats;
 
 pub mod fxhash;
-pub mod grid;
 pub mod histogram;
 pub mod join;
 pub mod kdtree;
+pub mod morton;
 pub mod partition;
 pub mod psort;
-pub mod rtree;
-pub mod rtree_dyn;
 pub mod sweep;
-pub mod zorder;
 
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHasher};
-pub use grid::UniformGrid;
 pub use join::{pair_count, self_pair_count, JoinAlgorithm};
 pub use kdtree::KdTree;
+pub use morton::MortonKey;
 pub use partition::{
     par_sweep_join_count, par_sweep_join_count_sorted, par_sweep_self_join_count,
     par_sweep_self_join_count_sorted, resolve_threads,
 };
 pub use psort::par_sort_unstable;
-pub use rtree::RTree;
-pub use rtree_dyn::DynRTree;
 pub use sweep::SortedByAxis;
-pub use zorder::{MortonKey, ZOrderIndex};

@@ -19,7 +19,7 @@ fn metric() -> impl Strategy<Value = Metric> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// All five join algorithms agree with the nested loop on cross joins.
+    /// Every join algorithm agrees with the nested loop on cross joins.
     #[test]
     fn cross_join_agreement(a in points(60), b in points(60), r in 0.0f64..30.0, m in metric()) {
         let reference = pair_count(JoinAlgorithm::NestedLoop, &a, &b, r, m);
@@ -28,7 +28,7 @@ proptest! {
         }
     }
 
-    /// All five join algorithms agree with the nested loop on self joins.
+    /// Every join algorithm agrees with the nested loop on self joins.
     #[test]
     fn self_join_agreement(a in points(70), r in 0.0f64..30.0, m in metric()) {
         let reference = self_pair_count(JoinAlgorithm::NestedLoop, &a, r, m);
@@ -58,10 +58,10 @@ proptest! {
     /// itself equals twice the self join plus the diagonal.
     #[test]
     fn self_join_identity(a in points(60), r in 0.0f64..20.0, m in metric()) {
-        let self_pairs = self_pair_count(JoinAlgorithm::Grid, &a, r, m);
+        let self_pairs = self_pair_count(JoinAlgorithm::ParSweep, &a, r, m);
         let n = a.len() as u64;
         prop_assert!(self_pairs <= n.saturating_mul(n.saturating_sub(1)) / 2);
-        let ordered = pair_count(JoinAlgorithm::Grid, &a, &a, r, m);
+        let ordered = pair_count(JoinAlgorithm::ParSweep, &a, &a, r, m);
         // Ordered cross pairs of A×A = 2 · unordered + N coincident
         // self-pairs (each point pairs with itself at distance 0 ≤ r).
         prop_assert_eq!(ordered, 2 * self_pairs + n);

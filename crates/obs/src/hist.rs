@@ -282,7 +282,10 @@ mod tests {
         }
         let window = later.diff(&earlier);
         assert_eq!(window.count(), 2);
-        assert!(window.nonzero_buckets().iter().any(|&(ub, c)| ub == 6 && c == 1));
+        assert!(window
+            .nonzero_buckets()
+            .iter()
+            .any(|&(ub, c)| ub == 6 && c == 1));
         // A reset (earlier bigger than later) saturates to empty, not wraps.
         assert_eq!(earlier.diff(&later).count(), 0);
     }

@@ -52,8 +52,6 @@ pub const COUNTERS: &[&str] = &[
     "fit.count",
     "index.candidate_pairs",
     "index.contained_pairs",
-    "index.grid.occupied_cells",
-    "index.grid.probes",
     "index.node_visits",
     "index.pruned_pairs",
     "join.par_sweep.band_points",

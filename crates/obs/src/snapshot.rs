@@ -635,7 +635,10 @@ mod tests {
         assert_eq!(tsdb.get("interval_ms").unwrap().as_f64(), Some(5000.0));
         let alerts = doc.get("alerts").unwrap().as_array().unwrap();
         assert_eq!(alerts.len(), 1);
-        assert_eq!(alerts[0].get("name").unwrap().as_str(), Some("slo-estimate"));
+        assert_eq!(
+            alerts[0].get("name").unwrap().as_str(),
+            Some("slo-estimate")
+        );
         assert_eq!(alerts[0].get("state").unwrap().as_str(), Some("firing"));
         assert_eq!(alerts[0].get("value").unwrap().as_f64(), Some(3.5));
         assert_eq!(alerts[0].get("transitions").unwrap().as_f64(), Some(2.0));

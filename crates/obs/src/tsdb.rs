@@ -273,8 +273,18 @@ impl Tsdb {
             if window.count() > 0 {
                 let p50 = window.quantile(0.5) as f64;
                 let p99 = window.quantile(0.99) as f64;
-                inner.push(&format!("{}.p50_ns", span.name), SeriesKind::Gauge, ts_ms, p50);
-                inner.push(&format!("{}.p99_ns", span.name), SeriesKind::Gauge, ts_ms, p99);
+                inner.push(
+                    &format!("{}.p50_ns", span.name),
+                    SeriesKind::Gauge,
+                    ts_ms,
+                    p50,
+                );
+                inner.push(
+                    &format!("{}.p99_ns", span.name),
+                    SeriesKind::Gauge,
+                    ts_ms,
+                    p99,
+                );
             }
             inner
                 .prev_hists
@@ -505,7 +515,13 @@ mod tests {
         let tsdb = Tsdb::new(16);
         // Counter climbs to 20, resets (restart), climbs again: the window
         // increase is 10 + 10 + 5 + 10 = 35, never negative.
-        for (ts, v) in [(0u64, 0.0), (1_000, 10.0), (2_000, 20.0), (3_000, 5.0), (4_000, 15.0)] {
+        for (ts, v) in [
+            (0u64, 0.0),
+            (1_000, 10.0),
+            (2_000, 20.0),
+            (3_000, 5.0),
+            (4_000, 15.0),
+        ] {
             tsdb.push("req", SeriesKind::Counter, ts, v);
         }
         let inc = tsdb
@@ -515,7 +531,11 @@ mod tests {
         let rate = tsdb
             .query(&QueryExpr::parse("rate(req[10s])").unwrap(), 4_000)
             .unwrap();
-        assert!((rate.value - 35.0 / 4.0).abs() < 1e-9, "rate={}", rate.value);
+        assert!(
+            (rate.value - 35.0 / 4.0).abs() < 1e-9,
+            "rate={}",
+            rate.value
+        );
         assert_eq!(rate.samples.len(), 5);
     }
 
@@ -528,10 +548,14 @@ mod tests {
             &[(0, 100.0), (5_000, 1.0), (6_000, 3.0), (7_000, 2.0)],
         );
         let now = 7_000;
-        let avg = tsdb.query(&QueryExpr::parse("avg(g[3s])").unwrap(), now).unwrap();
+        let avg = tsdb
+            .query(&QueryExpr::parse("avg(g[3s])").unwrap(), now)
+            .unwrap();
         assert_eq!(avg.value, 2.0);
         assert_eq!(avg.samples.len(), 3);
-        let max = tsdb.query(&QueryExpr::parse("max(g[3s])").unwrap(), now).unwrap();
+        let max = tsdb
+            .query(&QueryExpr::parse("max(g[3s])").unwrap(), now)
+            .unwrap();
         assert_eq!(max.value, 3.0);
         let q = tsdb
             .query(&QueryExpr::parse("quantile(g[3s], 0.5)").unwrap(), now)
@@ -541,18 +565,24 @@ mod tests {
         assert!(avg.samples.iter().all(|&(ts, _)| ts >= 4_000));
         // An in-range window with no samples is Some(0), not None: the
         // series exists, traffic stopped.
-        let idle = tsdb.query(&QueryExpr::parse("avg(g[3s])").unwrap(), 60_000).unwrap();
+        let idle = tsdb
+            .query(&QueryExpr::parse("avg(g[3s])").unwrap(), 60_000)
+            .unwrap();
         assert_eq!(idle.value, 0.0);
         assert!(idle.samples.is_empty());
         // A series that never existed is None.
-        assert!(tsdb.query(&QueryExpr::parse("ghost").unwrap(), now).is_none());
+        assert!(tsdb
+            .query(&QueryExpr::parse("ghost").unwrap(), now)
+            .is_none());
     }
 
     #[test]
     fn latest_returns_the_newest_point() {
         let tsdb = Tsdb::new(4);
         gauge_series(&tsdb, "inflight", &[(1, 3.0), (2, 7.0)]);
-        let r = tsdb.query(&QueryExpr::parse("inflight").unwrap(), 99).unwrap();
+        let r = tsdb
+            .query(&QueryExpr::parse("inflight").unwrap(), 99)
+            .unwrap();
         assert_eq!(r.value, 7.0);
         assert_eq!(r.samples, vec![(2, 7.0)]);
     }

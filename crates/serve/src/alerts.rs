@@ -165,17 +165,26 @@ impl AlertRule {
             .split_once(':')
             .ok_or_else(|| format!("alert rule {spec:?}: expected 'name: expr op threshold'"))?;
         let name = name.trim();
-        if name.is_empty() || !name.chars().all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_') {
+        if name.is_empty()
+            || !name
+                .chars()
+                .all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_')
+        {
             return Err(format!(
                 "alert rule {spec:?}: name must be non-empty [a-zA-Z0-9_-]"
             ));
         }
         let rest = rest.trim();
         // Longest operators first so ">=" is not read as ">" then "=".
-        let (op_at, op) = [(">=", CmpOp::Ge), ("<=", CmpOp::Le), (">", CmpOp::Gt), ("<", CmpOp::Lt)]
-            .iter()
-            .find_map(|&(tok, op)| rest.find(tok).map(|i| ((i, tok.len()), op)))
-            .ok_or_else(|| format!("alert rule {spec:?}: no comparison operator (>, <, >=, <=)"))?;
+        let (op_at, op) = [
+            (">=", CmpOp::Ge),
+            ("<=", CmpOp::Le),
+            (">", CmpOp::Gt),
+            ("<", CmpOp::Lt),
+        ]
+        .iter()
+        .find_map(|&(tok, op)| rest.find(tok).map(|i| ((i, tok.len()), op)))
+        .ok_or_else(|| format!("alert rule {spec:?}: no comparison operator (>, <, >=, <=)"))?;
         let expr_text = rest[..op_at.0].trim();
         let expr = QueryExpr::parse(expr_text).map_err(|e| format!("alert rule {spec:?}: {e}"))?;
         let tail = rest[op_at.0 + op_at.1..].trim();
@@ -187,9 +196,9 @@ impl AlertRule {
             ),
             None => (tail, 0),
         };
-        let threshold: f64 = threshold_text
-            .parse()
-            .map_err(|_| format!("alert rule {spec:?}: threshold {threshold_text:?} is not a number"))?;
+        let threshold: f64 = threshold_text.parse().map_err(|_| {
+            format!("alert rule {spec:?}: threshold {threshold_text:?} is not a number")
+        })?;
         if !threshold.is_finite() {
             return Err(format!("alert rule {spec:?}: threshold must be finite"));
         }
@@ -579,8 +588,18 @@ mod tests {
         for t in 0..8u64 {
             good += 10.0;
             total += 10.0;
-            tsdb.push("serve.slo.good.estimate", SeriesKind::Counter, t * 1_000, good);
-            tsdb.push("serve.slo.total.estimate", SeriesKind::Counter, t * 1_000, total);
+            tsdb.push(
+                "serve.slo.good.estimate",
+                SeriesKind::Counter,
+                t * 1_000,
+                good,
+            );
+            tsdb.push(
+                "serve.slo.total.estimate",
+                SeriesKind::Counter,
+                t * 1_000,
+                total,
+            );
             engine.evaluate(&tsdb, t * 1_000);
         }
         assert_eq!(engine.snapshots()[0].state, "inactive");
@@ -589,8 +608,18 @@ mod tests {
         // 1/budget = 100×; pending, then firing after the 2s hold.
         for t in 8..14u64 {
             total += 10.0;
-            tsdb.push("serve.slo.good.estimate", SeriesKind::Counter, t * 1_000, good);
-            tsdb.push("serve.slo.total.estimate", SeriesKind::Counter, t * 1_000, total);
+            tsdb.push(
+                "serve.slo.good.estimate",
+                SeriesKind::Counter,
+                t * 1_000,
+                good,
+            );
+            tsdb.push(
+                "serve.slo.total.estimate",
+                SeriesKind::Counter,
+                t * 1_000,
+                total,
+            );
             engine.evaluate(&tsdb, t * 1_000);
         }
         let s = &engine.snapshots()[0];
@@ -608,11 +637,21 @@ mod tests {
         assert_eq!(rule.name, "drift-uniform");
         let engine = AlertEngine::new(vec![rule]);
         let tsdb = Tsdb::new(16);
-        tsdb.push("serve.drift.breached.uniform", SeriesKind::Gauge, 1_000, 1.0);
+        tsdb.push(
+            "serve.drift.breached.uniform",
+            SeriesKind::Gauge,
+            1_000,
+            1.0,
+        );
         engine.evaluate(&tsdb, 1_000);
         // for_ms = 0: straight through pending to firing in one pass.
         assert_eq!(engine.snapshots()[0].state, "firing");
-        tsdb.push("serve.drift.breached.uniform", SeriesKind::Gauge, 20_000, 0.0);
+        tsdb.push(
+            "serve.drift.breached.uniform",
+            SeriesKind::Gauge,
+            20_000,
+            0.0,
+        );
         engine.evaluate(&tsdb, 20_000);
         assert_eq!(engine.snapshots()[0].state, "resolved");
     }
@@ -642,7 +681,10 @@ mod tests {
             prom.contains("ALERTS{alertname=\"loud\",state=\"firing\"} 1"),
             "{prom}"
         );
-        assert!(!prom.contains("quiet"), "inactive rules must not render: {prom}");
+        assert!(
+            !prom.contains("quiet"),
+            "inactive rules must not render: {prom}"
+        );
 
         // Nothing active → no ALERTS block at all (comment-only blocks are
         // not valid exposition for our scraper checks).

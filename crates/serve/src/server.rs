@@ -1144,9 +1144,9 @@ fn percent_decode(s: &str) -> String {
     while i < bytes.len() {
         match bytes[i] {
             b'%' => {
-                let hex = bytes.get(i + 1..i + 3).and_then(|h| {
-                    u8::from_str_radix(std::str::from_utf8(h).ok()?, 16).ok()
-                });
+                let hex = bytes
+                    .get(i + 1..i + 3)
+                    .and_then(|h| u8::from_str_radix(std::str::from_utf8(h).ok()?, 16).ok());
                 match hex {
                     Some(b) => {
                         out.push(b);
@@ -1497,8 +1497,8 @@ fn route(req: &Request, shared: &Shared, request_id: u64, deadline: Option<Insta
         ),
         (
             _,
-            "/metrics" | "/snapshot" | "/timeline" | "/healthz" | "/readyz" | "/alerts"
-            | "/query" | "/debug/profile" | "/debug/exemplars",
+            "/metrics" | "/snapshot" | "/timeline" | "/healthz" | "/readyz" | "/alerts" | "/query"
+            | "/debug/profile" | "/debug/exemplars",
         ) => Routed::plain(
             Response::text(405, format!("method {} not allowed", req.method))
                 .with_header("Allow", "GET"),

@@ -349,7 +349,7 @@ fn drift_monitor_flags_a_perturbed_law() {
     let s = sample.len();
     let scale = (n * (n - 1)) as f64 / (s * (s - 1)) as f64;
     let truth = Arc::new(move |r: f64| {
-        self_pair_count(JoinAlgorithm::Grid, &sample, r, Metric::Linf) as f64 * scale
+        self_pair_count(JoinAlgorithm::ParSweep, &sample, r, Metric::Linf) as f64 * scale
     });
 
     // Probe radii inside the fitted window.
@@ -1327,9 +1327,7 @@ fn burn_rate_alert_fires_under_planted_latency_and_resolves() {
         ServeConfig {
             metrics_interval: Duration::from_millis(25),
             slos: vec![sjpl_serve::SloSpec::parse("/estimate=1ms@p50").unwrap()],
-            faults: Some(
-                sjpl_serve::FaultPlan::parse("estimate:latency=15ms@1.0", 9).unwrap(),
-            ),
+            faults: Some(sjpl_serve::FaultPlan::parse("estimate:latency=15ms@1.0", 9).unwrap()),
             ..ServeConfig::default()
         },
     )
@@ -1341,8 +1339,7 @@ fn burn_rate_alert_fires_under_planted_latency_and_resolves() {
     let mut fired = false;
     while Instant::now() < deadline {
         for _ in 0..4 {
-            let (status, _, body) =
-                post_estimate(addr, r#"{"law": "alerting", "radius": 0.05}"#);
+            let (status, _, body) = post_estimate(addr, r#"{"law": "alerting", "radius": 0.05}"#);
             assert_eq!(status, 200, "{body}");
         }
         if alert_state(addr, "slo-burn-estimate").as_deref() == Some("firing") {
@@ -1361,8 +1358,14 @@ fn burn_rate_alert_fires_under_planted_latency_and_resolves() {
         metrics.contains("ALERTS{alertname=\"slo-burn-estimate\",state=\"firing\"} 1"),
         "no firing ALERTS sample:\n{metrics}"
     );
-    assert!(metrics.contains("sjpl_build_info{version=\""), "missing build info");
-    assert!(metrics.contains("sjpl_serve_uptime_seconds"), "missing uptime gauge");
+    assert!(
+        metrics.contains("sjpl_build_info{version=\""),
+        "missing build info"
+    );
+    assert!(
+        metrics.contains("sjpl_serve_uptime_seconds"),
+        "missing uptime gauge"
+    );
 
     // Phase 2: the faulted traffic stops, the windows drain, the alert
     // resolves, and the ALERTS family disappears (pending/firing only).
@@ -1375,7 +1378,10 @@ fn burn_rate_alert_fires_under_planted_latency_and_resolves() {
         }
         std::thread::sleep(Duration::from_millis(25));
     }
-    assert!(resolved, "alert did not resolve after faulted traffic stopped");
+    assert!(
+        resolved,
+        "alert did not resolve after faulted traffic stopped"
+    );
     let (_, _, metrics) = get(addr, "/metrics");
     assert!(
         !metrics.contains("ALERTS{"),

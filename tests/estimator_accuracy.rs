@@ -38,7 +38,7 @@ fn self_error(est: &SelectivityEstimator, a: &PointSet<2>) -> f64 {
     let mut pairs = Vec::new();
     for i in 0..8 {
         let r = lo * (hi / lo).powf(i as f64 / 7.0);
-        let exact = self_pair_count(JoinAlgorithm::Grid, a.points(), r, Metric::Linf);
+        let exact = self_pair_count(JoinAlgorithm::ParSweep, a.points(), r, Metric::Linf);
         if exact >= 50 {
             pairs.push((est.estimate_pair_count(r), exact as f64));
         }

@@ -55,14 +55,8 @@ fn every_emitted_metric_name_is_registered() {
         .unwrap();
         let _ = plot.fit(&fit).unwrap();
 
-        // Index-side counters (grid probes, tree visits/prunes).
-        for algo in [
-            JoinAlgorithm::Grid,
-            JoinAlgorithm::KdTree,
-            JoinAlgorithm::RTree,
-        ] {
-            let _ = self_pair_count(algo, pts.points(), 0.05, Metric::Linf);
-        }
+        // Index-side counters (kd-tree visits/prunes).
+        let _ = self_pair_count(JoinAlgorithm::KdTree, pts.points(), 0.05, Metric::Linf);
 
         // The partitioned parallel sweep: enough points for two slabs at
         // two explicit threads, so the cross-thread worker spans and the
@@ -120,7 +114,7 @@ fn pinned_names_are_still_emitted() {
         };
         let plot = bops_plot_self(&pts, &cfg).unwrap();
         let _ = plot.fit(&FitOptions::default()).unwrap();
-        let _ = self_pair_count(JoinAlgorithm::Grid, pts.points(), 0.05, Metric::Linf);
+        let _ = self_pair_count(JoinAlgorithm::KdTree, pts.points(), 0.05, Metric::Linf);
         let _ = self_pair_count(JoinAlgorithm::ParSweep, pts.points(), 0.05, Metric::Linf);
     });
 
@@ -144,8 +138,7 @@ fn pinned_names_are_still_emitted() {
         "bops.plots",
         "bops.points",
         "fit.count",
-        "index.grid.probes",
-        "index.grid.occupied_cells",
+        "index.node_visits",
         "join.par_sweep.slabs",
     ] {
         assert!(
