@@ -1,8 +1,9 @@
 //! Criterion micro-benchmarks for the BOPS estimator: throughput vs dataset
 //! size, vs dimensionality, vs number of grid levels — the cost model
 //! behind the Table 5 headline (O((N+M)·levels·D)) — plus the engine
-//! matrix comparing the single-sort Morton engine against the per-level
-//! HashMap pass across thread counts, level counts, and input sizes.
+//! matrix comparing the two key schedules (Morton keys sorted once for the
+//! dyadic grid, per-level keys for the gentle one) across thread counts,
+//! level counts, and input sizes.
 //!
 //! A custom `main` drains the harness registry after all groups run and
 //! writes `BENCH_bops.json` at the repository root, so engine speedups are
@@ -22,9 +23,7 @@
 
 use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
 use sjpl_core::streaming::Side;
-use sjpl_core::{
-    bops_plot_cross, bops_plot_self, BopsConfig, BopsEngine, FitOptions, StreamingBops,
-};
+use sjpl_core::{bops_plot_cross, bops_plot_self, BopsConfig, FitOptions, StreamingBops};
 use sjpl_datagen::{galaxy, manifold, sierpinski, uniform};
 use sjpl_geom::{Aabb, Point};
 
@@ -73,27 +72,28 @@ fn bops_vs_levels(c: &mut Criterion) {
     g.finish();
 }
 
-/// The engine matrix: `{sorted, hashmap} x {1, 4} threads x {8, 12} levels`
-/// over cross joins of N = 10⁴ … 10⁶ points per side (2-d). Benchmark ids
-/// are `bops/engines/<engine>/t<threads>/L<levels>/<n>` so the JSON
-/// snapshot can be diffed field by field.
+/// The engine matrix: `{dyadic, gentle} schedule x {1, 4} threads x {8, 12}
+/// levels` over cross joins of N = 10⁴ … 10⁶ points per side (2-d). The
+/// dyadic schedule (`ratio = 0.5`) runs on Morton keys sorted once, the
+/// gentle one (`ratio = 0.8`) on per-level keys. Benchmark ids are
+/// `bops/engines/<schedule>/t<threads>/L<levels>/<n>` so the JSON snapshot
+/// can be diffed field by field.
 fn bops_engine_matrix(c: &mut Criterion) {
     let mut g = c.benchmark_group("bops/engines");
     g.sample_size(10);
     for n in [10_000usize, 100_000, 1_000_000] {
         let (a, b) = galaxy::correlated_pair(n, n, 11);
-        for (engine, ename) in [
-            (BopsEngine::SortedMorton, "sorted"),
-            (BopsEngine::HashMap, "hashmap"),
-        ] {
+        for (ratio, schedule) in [(0.5, "dyadic"), (0.8, "gentle")] {
             for threads in [1usize, 4] {
                 for levels in [8u32, 12] {
-                    let cfg = BopsConfig::dyadic(levels)
-                        .with_engine(engine)
-                        .with_threads(threads);
+                    let cfg = BopsConfig {
+                        levels,
+                        ratio,
+                        threads,
+                    };
                     g.throughput(Throughput::Elements(2 * n as u64));
                     g.bench_function(
-                        BenchmarkId::new(format!("{ename}/t{threads}/L{levels}"), n),
+                        BenchmarkId::new(format!("{schedule}/t{threads}/L{levels}"), n),
                         |bench| {
                             bench.iter(|| bops_plot_cross(&a, &b, &cfg).unwrap());
                         },
@@ -182,12 +182,10 @@ criterion_group! {
 }
 
 /// The fixed workload used for the stage breakdown and the recorder-cost
-/// measurement: a 10⁵-per-side cross join on the fast engine.
+/// measurement: a 10⁵-per-side cross join on Morton keys.
 fn observed_workload() -> (sjpl_geom::PointSet<2>, sjpl_geom::PointSet<2>, BopsConfig) {
     let (a, b) = galaxy::correlated_pair(100_000, 100_000, 11);
-    let cfg = BopsConfig::dyadic(12)
-        .with_engine(BopsEngine::SortedMorton)
-        .with_threads(4);
+    let cfg = BopsConfig::dyadic(12).with_threads(4);
     (a, b, cfg)
 }
 
@@ -329,9 +327,9 @@ fn main() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut json = String::from("{\n  \"schema\": 3,\n");
     json.push_str(&format!(
-        "  \"meta\": {{\"host_cores\": {cores}, \"engines\": [\"sorted\", \"hashmap\"], \
+        "  \"meta\": {{\"host_cores\": {cores}, \"engines\": [\"dyadic\", \"gentle\"], \
          \"threads_matrix\": [1, 4], \"levels_matrix\": [8, 12], \
-         \"observed_workload\": \"cross 100k x 100k, 2-d, sorted engine, t4, L12\", \
+         \"observed_workload\": \"cross 100k x 100k, 2-d, dyadic (sorted-morton-64), t4, L12\", \
          \"join_workload\": \"L2 self-join, uniform 2-d, r=0.0005; par-sweep at auto \
          threads; nested-loop capped at 1e5 points (quadratic)\"}},\n"
     ));

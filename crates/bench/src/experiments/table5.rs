@@ -3,7 +3,7 @@
 
 use std::time::Instant;
 
-use sjpl_core::{bops_plot_cross, pc_plot_cross, BopsConfig, BopsEngine, FitOptions, PcPlotConfig};
+use sjpl_core::{bops_plot_cross, pc_plot_cross, BopsConfig, FitOptions, PcPlotConfig};
 use sjpl_geom::PointSet;
 
 use crate::data::Workbench;
@@ -29,18 +29,11 @@ fn time_pair<const D: usize>(a: &PointSet<D>, b: &PointSet<D>) -> (f64, f64) {
     (pc_time, bops_time)
 }
 
-/// Times one engine configuration on a cross pair, seconds (best of 3 —
-/// these runs are short enough that a stray scheduler hiccup dominates a
-/// single measurement).
-fn time_engine<const D: usize>(
-    a: &PointSet<D>,
-    b: &PointSet<D>,
-    engine: BopsEngine,
-    threads: usize,
-) -> f64 {
-    let cfg = BopsConfig::default()
-        .with_engine(engine)
-        .with_threads(threads);
+/// Times the default BOPS config at `threads` workers on a cross pair,
+/// seconds (best of 3 — these runs are short enough that a stray scheduler
+/// hiccup dominates a single measurement).
+fn time_threads<const D: usize>(a: &PointSet<D>, b: &PointSet<D>, threads: usize) -> f64 {
+    let cfg = BopsConfig::default().with_threads(threads);
     (0..3)
         .map(|_| {
             let t0 = Instant::now();
@@ -126,32 +119,21 @@ pub fn run(w: &Workbench, r: &mut Report) {
         .collect();
     r.table(&["datasets", "PC-plot (s)", "BOPS (s)", "speedup"], &rows);
 
-    // Engine shoot-out on the same pairs: the single-sort Morton engine vs
-    // the per-level HashMap pass, single-threaded and with 4 workers. Both
-    // produce bit-identical plots; only the clock differs.
+    // Engine shoot-out on the same pairs: the sorted Morton keys of the
+    // default config, single-threaded and with 4 workers. Both produce
+    // bit-identical plots; only the clock differs.
     let engine_rows: Vec<Vec<String>> = pairs
         .iter()
         .map(|(name, a, b)| {
-            let hash1 = time_engine(a, b, BopsEngine::HashMap, 1);
-            let sort1 = time_engine(a, b, BopsEngine::SortedMorton, 1);
-            let sort4 = time_engine(a, b, BopsEngine::SortedMorton, 4);
             vec![
                 (*name).into(),
-                format!("{:.4}", hash1),
-                format!("{:.4}", sort1),
-                format!("{:.1}x", hash1 / sort1.max(1e-9)),
-                format!("{:.4}", sort4),
+                format!("{:.4}", time_threads(a, b, 1)),
+                format!("{:.4}", time_threads(a, b, 4)),
             ]
         })
         .collect();
     r.table(
-        &[
-            "datasets",
-            "hashmap x1 (s)",
-            "sorted x1 (s)",
-            "sorted gain",
-            "sorted x4 (s)",
-        ],
+        &["datasets", "sorted x1 (s)", "sorted x4 (s)"],
         &engine_rows,
     );
 

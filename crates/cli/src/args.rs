@@ -2,7 +2,6 @@
 //! handful of `--flag value` options. Small enough that a dependency would
 //! cost more than it saves.
 
-use sjpl_core::BopsEngine;
 use sjpl_geom::Metric;
 
 /// Output format for the `--trace` observability snapshot.
@@ -33,8 +32,6 @@ pub struct Options {
     pub threads: Option<usize>,
     /// `--method` (`pc` or `bops`).
     pub method: Option<String>,
-    /// `--engine` (BOPS counting engine: `auto`, `sorted`, or `hashmap`).
-    pub engine: Option<BopsEngine>,
     /// `--algo` (join algorithm name).
     pub algo: Option<String>,
     /// `-k` (neighbor count).
@@ -132,7 +129,6 @@ pub fn parse(argv: &[String]) -> Result<Options, String> {
         metric: None,
         threads: None,
         method: None,
-        engine: None,
         algo: None,
         k: None,
         trace: None,
@@ -206,10 +202,6 @@ pub fn parse(argv: &[String]) -> Result<Options, String> {
             }
             "--method" => {
                 o.method = Some(take_value("--method")?);
-            }
-            "--engine" => {
-                let v = take_value("--engine")?;
-                o.engine = Some(parse_engine(&v)?);
             }
             "--algo" => {
                 o.algo = Some(take_value("--algo")?);
@@ -414,19 +406,6 @@ pub fn parse(argv: &[String]) -> Result<Options, String> {
     Ok(o)
 }
 
-/// Parses a BOPS engine name: `auto`, `sorted` (the single-sort Morton
-/// engine), or `hashmap` (per-level occupancy maps).
-pub fn parse_engine(s: &str) -> Result<BopsEngine, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "auto" => Ok(BopsEngine::Auto),
-        "sorted" | "morton" | "sorted-morton" => Ok(BopsEngine::SortedMorton),
-        "hashmap" | "hash" => Ok(BopsEngine::HashMap),
-        other => Err(format!(
-            "unknown engine {other:?} (use auto, sorted, or hashmap)"
-        )),
-    }
-}
-
 /// Parses a metric name: `l1`, `l2`, `linf`, or a positive number `p`.
 pub fn parse_metric(s: &str) -> Result<Metric, String> {
     match s.to_ascii_lowercase().as_str() {
@@ -471,17 +450,6 @@ mod tests {
         assert_eq!(parse_metric("l2.5").unwrap(), Metric::Lp(2.5));
         assert!(parse_metric("0.5").is_err());
         assert!(parse_metric("euclid").is_err());
-    }
-
-    #[test]
-    fn engine_names_parse() {
-        assert_eq!(parse_engine("auto").unwrap(), BopsEngine::Auto);
-        assert_eq!(parse_engine("sorted").unwrap(), BopsEngine::SortedMorton);
-        assert_eq!(parse_engine("Morton").unwrap(), BopsEngine::SortedMorton);
-        assert_eq!(parse_engine("hashmap").unwrap(), BopsEngine::HashMap);
-        assert!(parse_engine("quantum").is_err());
-        let o = parse(&sv(&["a.csv", "--engine", "sorted"])).unwrap();
-        assert_eq!(o.engine, Some(BopsEngine::SortedMorton));
     }
 
     #[test]

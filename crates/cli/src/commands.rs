@@ -77,7 +77,6 @@ options:
   --threads <n>        worker threads for PC plots, BOPS and the par-sweep
                        join (SJPL_JOIN_THREADS also honored) [default: all CPUs]
   --method <m>         pc | bops (estimate, catalog-add)  [default bops]
-  --engine <e>         BOPS engine: auto | sorted | hashmap  [default auto]
   --algo <a>           nested-loop | kd-tree | plane-sweep | par-sweep
                                                     [default par-sweep]
   -k <n>               neighbor count for knn         [default 1]
@@ -554,11 +553,11 @@ fn probe_typed<const D: usize>(
     ))
 }
 
-/// One-line stderr note when the BOPS Auto resolution silently would have
-/// switched engines — the fallback must be visible, not just recorded.
+/// One-line stderr note when BOPS could not use the single-sort Morton
+/// keys — the slower path must be visible, not just recorded.
 fn warn_fallback(plot: &sjpl_core::BopsPlot) {
     if let Some(reason) = plot.fallback() {
-        eprintln!("note: BOPS fell back to the hashmap engine: {reason}");
+        eprintln!("note: BOPS took the per-level sorted path: {reason}");
     }
 }
 
@@ -590,7 +589,6 @@ fn catalog_add_typed<const D: usize>(orig: &Options, data_opts: &Options) -> Res
     let bops_cfg = BopsConfig {
         levels: orig.levels.unwrap_or(12),
         ratio: orig.ratio.unwrap_or(if D > 6 { 0.8 } else { 0.5 }),
-        engine: orig.engine.unwrap_or_default(),
         threads: orig.threads.unwrap_or(0),
     };
     let pc_cfg = PcPlotConfig::default();
@@ -785,7 +783,6 @@ fn run_typed<const D: usize>(o: &Options, kind: CmdKind) -> Result<(), String> {
     let bops_cfg = BopsConfig {
         levels: o.levels.unwrap_or(bops_default.levels),
         ratio: o.ratio.unwrap_or(bops_default.ratio),
-        engine: o.engine.unwrap_or_default(),
         // `--threads` governs BOPS too; unset means one thread per CPU.
         threads: o.threads.unwrap_or(0),
     };
@@ -1070,6 +1067,18 @@ mod tests {
                 "{e}"
             );
         }
+    }
+
+    #[test]
+    fn engine_flag_is_rejected_as_unknown() {
+        let _obs = crate::obs_lock();
+        let dir = tmpdir("engine_flag_is_rejected_as_unknown");
+        let path = dir.join("x.csv");
+        let p = path.to_str().unwrap();
+        run(&sv(&["generate", "uniform", "300", "1", p])).unwrap();
+        let e = run(&sv(&["bops", p, "--engine", "sorted"])).unwrap_err();
+        assert_ne!(e.code, 0, "{e}");
+        assert!(e.message.contains("unknown flag \"--engine\""), "{e}");
     }
 
     #[test]

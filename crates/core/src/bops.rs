@@ -7,65 +7,55 @@
 //! scales and fitting a line recovers the pair-count exponent in O(N+M)
 //! per grid level instead of O(N·M).
 //!
-//! # Engines
+//! # One counting kernel, two key schedules
 //!
-//! Two interchangeable engines produce **bit-identical** `BOPS(s)` values
-//! (the occupancy products are exact integer sums, independent of
-//! evaluation order):
+//! Every level is counted the same way: each point's grid cell becomes an
+//! integer key, the keys are sorted, and one linear co-scan multiplies the
+//! run lengths of equal keys. The occupancy products are exact integer
+//! sums, so the plot is **bit-identical** whichever schedule built the
+//! keys and however many threads ran. Two key schedules feed the kernel:
 //!
-//! * [`BopsEngine::SortedMorton`] — the fast path for the paper's dyadic
-//!   schedule (`ratio = 0.5`). Each point is quantized **once** at the
+//! * **Morton, sorted once** — the paper's dyadic schedule (`ratio = 0.5`)
+//!   while `D · levels ≤ 128`. Each point is quantized **once** at the
 //!   finest grid level and bit-interleaved into a Morton key
-//!   ([`sjpl_index::MortonKey`]); both key arrays are sorted once
-//!   (parallel chunk-sort + merge). Because a cell of the grid `k` levels
-//!   coarser is exactly the `D·k`-bit prefix of the finest-level key,
-//!   *every* level's product-sum is then one linear co-scan of the two
-//!   sorted arrays under a prefix shift — zero hashing, zero per-level
-//!   allocation, and the levels scan in parallel.
-//! * [`BopsEngine::HashMap`] — the Figure 7 algorithm, verbatim: one
-//!   occupancy map per level, memory proportional to *occupied* cells.
-//!   Required for non-dyadic ratios (where coarser cells are not aligned
-//!   prefixes) and for `D · levels > 128` (where the Morton key overflows
-//!   `u128`, e.g. 16-d with a deep dyadic schedule). Hashing is FxHash —
-//!   cell coordinates need no DoS resistance — and with `threads > 1`
-//!   each thread fills a partial map over its chunk of the input, merged
-//!   at the end.
+//!   ([`sjpl_index::MortonKey`], `u64` or `u128`); both key arrays are
+//!   sorted once (parallel chunk-sort + merge). Because a cell of the grid
+//!   `k` levels coarser is exactly the `D·k`-bit prefix of the finest-level
+//!   key, *every* level is one co-scan under a prefix shift.
+//! * **Per level** — every other schedule: non-dyadic ratios (coarser cells
+//!   are not aligned prefixes) and `D · levels > 128` (the Morton key would
+//!   overflow `u128`, e.g. 16-d with a deep dyadic schedule). At each level
+//!   the points are quantized afresh and their `D` cell coordinates packed
+//!   into the narrowest key holding `D · ⌈log₂ cells⌉` bits — `u64`,
+//!   `u128`, else the `[u32; D]` coordinates themselves — then sorted and
+//!   co-scanned at shift 0. A level whose whole key space
+//!   `2^(D · ⌈log₂ cells⌉)` is no larger than the input counts into a dense
+//!   array instead of sorting. Levels are independent, so they stripe over
+//!   the worker threads.
 //!
-//! [`BopsEngine::Auto`] (the default) picks SortedMorton whenever the
-//! config allows it. When it cannot (non-dyadic ratio, or `D · levels >
-//! 128`), the fallback to HashMap is **not** silent: the plot records it
-//! ([`BopsPlot::fallback`]) and an `sjpl-obs` event is emitted, so callers
-//! (the CLI prints a one-line stderr note) and traces both see the switch.
+//! The config picks the schedule. The per-level path is **not** silent: the
+//! plot records why it ran ([`BopsPlot::fallback`]) and the `bops.engine`
+//! event names it, so callers (the CLI prints a one-line stderr note) and
+//! traces both see it.
 //!
 //! # Observability
 //!
 //! The hot path is instrumented with [`sjpl_obs`] spans — `bops.normalize`,
-//! `bops.quantize`, `bops.sort`, `bops.scan` — plus the `bops.points`
-//! counter and the `bops.levels` gauge, and every fit records `fit.r_squared`
-//! / `fit.exponent` / `fit.rmse_log10` gauges. With the recorder disabled
+//! `bops.quantize`, `bops.sort`, `bops.scan` (the per-level path runs
+//! entirely inside `bops.scan`) — plus the `bops.points` counter and the
+//! `bops.levels` gauge, and every fit records `fit.r_squared` /
+//! `fit.exponent` / `fit.rmse_log10` gauges. With the recorder disabled
 //! (the default) each probe is a single relaxed atomic load, measured at
 //! < 2% of the end-to-end BOPS cost (see `BENCH_bops.json`,
 //! `obs_overhead`).
 
+use std::ops::{BitOr, Shl};
+
 use sjpl_geom::{NormalizeInfo, Point, PointSet};
-use sjpl_index::{par_sort_unstable, FxHashMap, MortonKey};
+use sjpl_index::{par_sort_unstable, MortonKey};
 use sjpl_stats::{fit_loglog, FitOptions};
 
 use crate::{CoreError, JoinKind, PairCountLaw};
-
-/// Which counting engine evaluates the occupancy product-sums.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum BopsEngine {
-    /// Sorted-Morton when the config is dyadic and the key fits 128 bits,
-    /// HashMap otherwise.
-    #[default]
-    Auto,
-    /// Force the single-sort Morton-key engine. Construction fails with
-    /// [`CoreError::BadConfig`] if `ratio != 0.5` or `D · levels > 128`.
-    SortedMorton,
-    /// Force the per-level occupancy-map engine.
-    HashMap,
-}
 
 /// Configuration for a BOPS plot.
 #[derive(Clone, Copy, Debug)]
@@ -82,8 +72,6 @@ pub struct BopsConfig {
     /// samples the usable scale range much more densely at the same
     /// asymptotic cost.
     pub ratio: f64,
-    /// Counting engine; see [`BopsEngine`].
-    pub engine: BopsEngine,
     /// Worker threads for quantization, sorting, and per-level counting.
     /// `1` (the default) is fully sequential; `0` means "one per available
     /// CPU".
@@ -95,7 +83,6 @@ impl Default for BopsConfig {
         BopsConfig {
             levels: 12,
             ratio: 0.5,
-            engine: BopsEngine::Auto,
             threads: 1,
         }
     }
@@ -120,11 +107,6 @@ impl BopsConfig {
             ratio: 0.8,
             ..BopsConfig::default()
         }
-    }
-
-    /// Same config with a forced engine.
-    pub fn with_engine(self, engine: BopsEngine) -> Self {
-        BopsConfig { engine, ..self }
     }
 
     /// Same config with a worker-thread budget (`0` = one per CPU).
@@ -185,16 +167,15 @@ impl BopsPlot {
         self.kind
     }
 
-    /// The engine that actually produced the values after `Auto`
-    /// resolution: `"sorted-morton-64"`, `"sorted-morton-128"`, or
-    /// `"hashmap"`.
+    /// The key schedule that produced the values: `"sorted-morton-64"`,
+    /// `"sorted-morton-128"`, or `"sorted-per-level"`.
     pub fn engine_used(&self) -> &'static str {
         self.engine_used
     }
 
-    /// `Some(reason)` when [`BopsEngine::Auto`] could not use the fast
-    /// Morton engine and fell back to the per-level HashMap pass — callers
-    /// should surface this (the values are still exact, only slower).
+    /// `Some(reason)` when the config ruled out the single-sort Morton keys
+    /// and the per-level path ran — callers should surface this (the values
+    /// are still exact, only slower).
     pub fn fallback(&self) -> Option<&str> {
         self.fallback.as_deref()
     }
@@ -261,11 +242,13 @@ impl BopsPlot {
 
 /// The grid coordinate of `x` (normalized to `[0, 1]`) on an axis with
 /// `cells` cells of side `s`. The point at exactly 1.0 belongs to the last
-/// cell. **Both engines must quantize through this one function** — the
-/// bit-exactness guarantee starts here.
+/// cell. **Both key schedules quantize through this one function** — the
+/// bit-exactness guarantee starts here. `check_cfg` bounds `cells` by
+/// `u32::MAX`, so the saturating `u32` conversion clamps exactly like a
+/// `u64` one would, at half the cost.
 #[inline]
 fn cell_coord(x: f64, s: f64, cells: u64) -> u32 {
-    ((x / s) as u64).min(cells - 1) as u32
+    ((x / s) as u32).min((cells - 1) as u32)
 }
 
 #[inline]
@@ -302,96 +285,65 @@ fn check_cfg(cfg: &BopsConfig) -> Result<(), CoreError> {
     Ok(())
 }
 
-/// The engine actually used after `Auto` resolution, including the Morton
-/// key width.
+/// How the counting kernel's keys are built: Morton keys sorted once (with
+/// their width), or fresh keys at every level.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ResolvedEngine {
-    Sorted64,
-    Sorted128,
-    Hash,
+enum KeySchedule {
+    Morton64,
+    Morton128,
+    PerLevel,
 }
 
-impl ResolvedEngine {
+impl KeySchedule {
     fn name(self) -> &'static str {
         match self {
-            ResolvedEngine::Sorted64 => "sorted-morton-64",
-            ResolvedEngine::Sorted128 => "sorted-morton-128",
-            ResolvedEngine::Hash => "hashmap",
+            KeySchedule::Morton64 => "sorted-morton-64",
+            KeySchedule::Morton128 => "sorted-morton-128",
+            KeySchedule::PerLevel => "sorted-per-level",
         }
     }
 }
 
-/// Resolves the configured engine. The second component is `Some(reason)`
-/// when `Auto` *wanted* the Morton engine but had to fall back to the
-/// HashMap pass — the caller records it on the plot and emits an obs event,
-/// so the switch is never silent.
-fn resolve_engine<const D: usize>(
-    cfg: &BopsConfig,
-) -> Result<(ResolvedEngine, Option<String>), CoreError> {
+/// Picks the key schedule for `cfg`. The second component is the reason
+/// whenever the per-level path has to run — the caller records it on the
+/// plot, so the slower path is never silent.
+fn key_schedule<const D: usize>(cfg: &BopsConfig) -> (KeySchedule, Option<String>) {
     let key_bits = D as u32 * cfg.levels;
-    match cfg.engine {
-        BopsEngine::HashMap => Ok((ResolvedEngine::Hash, None)),
-        BopsEngine::SortedMorton => {
-            if !cfg.is_dyadic() {
-                Err(CoreError::BadConfig(format!(
-                    "SortedMorton engine requires the dyadic schedule (ratio = 0.5), got {}",
-                    cfg.ratio
-                )))
-            } else if key_bits > 128 {
-                Err(CoreError::BadConfig(format!(
-                    "SortedMorton engine needs D x levels <= 128 key bits, got {D} x {} = \
-                     {key_bits}; reduce levels or use the HashMap engine",
-                    cfg.levels
-                )))
-            } else if key_bits <= 64 {
-                Ok((ResolvedEngine::Sorted64, None))
-            } else {
-                Ok((ResolvedEngine::Sorted128, None))
-            }
-        }
-        BopsEngine::Auto => {
-            if cfg.is_dyadic() && key_bits <= 64 {
-                Ok((ResolvedEngine::Sorted64, None))
-            } else if cfg.is_dyadic() && key_bits <= 128 {
-                Ok((ResolvedEngine::Sorted128, None))
-            } else if !cfg.is_dyadic() {
-                Ok((
-                    ResolvedEngine::Hash,
-                    Some(format!(
-                        "non-dyadic ratio {} (coarser cells are not Morton-key prefixes)",
-                        cfg.ratio
-                    )),
-                ))
-            } else {
-                Ok((
-                    ResolvedEngine::Hash,
-                    Some(format!(
-                        "key width {D} x {} levels = {key_bits} bits exceeds the 128-bit \
-                         Morton key",
-                        cfg.levels
-                    )),
-                ))
-            }
-        }
+    if !cfg.is_dyadic() {
+        (
+            KeySchedule::PerLevel,
+            Some(format!(
+                "non-dyadic ratio {} (coarser cells are not Morton-key prefixes)",
+                cfg.ratio
+            )),
+        )
+    } else if key_bits <= 64 {
+        (KeySchedule::Morton64, None)
+    } else if key_bits <= 128 {
+        (KeySchedule::Morton128, None)
+    } else {
+        (
+            KeySchedule::PerLevel,
+            Some(format!(
+                "key width {D} x {} levels = {key_bits} bits exceeds the 128-bit Morton key",
+                cfg.levels
+            )),
+        )
     }
 }
 
-/// Resolves the engine, publishing the decision (and any fallback) to the
-/// observability layer.
-fn resolve_engine_observed<const D: usize>(
-    cfg: &BopsConfig,
-) -> Result<(ResolvedEngine, Option<String>), CoreError> {
-    let (engine, fallback) = resolve_engine::<D>(cfg)?;
-    if let Some(reason) = &fallback {
-        sjpl_obs::counter_add("bops.fallbacks", 1);
-        sjpl_obs::event(
-            "bops.engine_fallback",
-            format!("Auto fell back to the HashMap engine: {reason}"),
-        );
-    } else {
-        sjpl_obs::event("bops.engine", engine.name());
+/// Picks the key schedule, publishing the choice (and the reason for any
+/// per-level run) to the observability layer.
+fn key_schedule_observed<const D: usize>(cfg: &BopsConfig) -> (KeySchedule, Option<String>) {
+    let (schedule, reason) = key_schedule::<D>(cfg);
+    match &reason {
+        Some(reason) => {
+            sjpl_obs::counter_add("bops.fallbacks", 1);
+            sjpl_obs::event("bops.engine", format!("{}: {reason}", schedule.name()));
+        }
+        None => sjpl_obs::event("bops.engine", schedule.name()),
     }
-    Ok((engine, fallback))
+    (schedule, reason)
 }
 
 fn resolve_threads(threads: usize) -> usize {
@@ -410,54 +362,11 @@ fn data_threads(len: usize, threads: usize) -> usize {
     threads.max(1).min((len / MIN_POINTS_PER_THREAD).max(1))
 }
 
-// ---------------------------------------------------------------------------
-// Sorted-Morton engine
-// ---------------------------------------------------------------------------
-
-/// Quantizes every point at the finest dyadic level and interleaves the
-/// coordinates into Morton keys, fanning out over `threads`.
-fn morton_keys<K: MortonKey, const D: usize>(
-    pts: &[Point<D>],
-    levels: u32,
-    threads: usize,
-) -> Vec<K> {
-    let s = 0.5f64.powi(levels as i32);
-    let cells = 1u64 << levels;
-    let key_of = |p: &Point<D>| {
-        let mut idx = [0u32; D];
-        for d in 0..D {
-            idx[d] = cell_coord(p[d], s, cells);
-        }
-        K::interleave(&idx, levels)
-    };
-    let mut keys = vec![K::default(); pts.len()];
-    let t = data_threads(pts.len(), threads);
-    if t <= 1 {
-        for (k, p) in keys.iter_mut().zip(pts) {
-            *k = key_of(p);
-        }
-    } else {
-        let chunk = pts.len().div_ceil(t);
-        let key_of = &key_of;
-        crossbeam::thread::scope(|sc| {
-            for (kc, pc) in keys.chunks_mut(chunk).zip(pts.chunks(chunk)) {
-                sc.spawn(move |_| {
-                    for (k, p) in kc.iter_mut().zip(pc) {
-                        *k = key_of(p);
-                    }
-                });
-            }
-        })
-        .expect("morton-key worker panicked");
-    }
-    keys
-}
-
 /// Runs `count_level` for every level, striping levels across up to
-/// `threads` workers (each level is an independent linear scan). Each
-/// worker's scan is timed as a `bops.scan.worker` span parented under
-/// `ctx` (the enclosing `bops.scan` span), so the flight-recorder timeline
-/// shows the per-thread stripe durations — the partition-skew view.
+/// `threads` workers (each level is an independent count). Each worker's
+/// levels are timed as a `bops.scan.worker` span parented under `ctx` (the
+/// enclosing `bops.scan` span), so the flight-recorder timeline shows the
+/// per-thread stripe durations — the partition-skew view.
 fn per_level<F>(levels: u32, threads: usize, ctx: sjpl_obs::SpanContext, count_level: F) -> Vec<u64>
 where
     F: Fn(u32) -> u64 + Sync,
@@ -492,26 +401,30 @@ where
     values
 }
 
-/// `Σᵢ C_{A,i}·C_{B,i}` at one dyadic level: co-scan two sorted key arrays,
-/// comparing keys truncated by `shift` bits (the enclosing coarse cell),
-/// multiplying run lengths of equal prefixes.
-fn cross_prefix_product_sum<K: MortonKey>(a: &[K], b: &[K], shift: u32) -> u64 {
+// ---------------------------------------------------------------------------
+// The counting kernel
+// ---------------------------------------------------------------------------
+
+/// `Σᵢ C_{A,i}·C_{B,i}`: co-scan two sorted key arrays, comparing keys
+/// through `cell` (the enclosing cell of a key at the level being counted),
+/// multiplying run lengths of equal cells.
+fn cross_prefix_product_sum<K: Copy, C: Ord>(a: &[K], b: &[K], cell: impl Fn(K) -> C) -> u64 {
     let (mut i, mut j) = (0usize, 0usize);
     let mut total = 0u64;
     while i < a.len() && j < b.len() {
-        let pa = a[i].shr(shift);
-        let pb = b[j].shr(shift);
+        let pa = cell(a[i]);
+        let pb = cell(b[j]);
         if pa < pb {
             i += 1;
         } else if pb < pa {
             j += 1;
         } else {
             let mut ra = 1;
-            while i + ra < a.len() && a[i + ra].shr(shift) == pa {
+            while i + ra < a.len() && cell(a[i + ra]) == pa {
                 ra += 1;
             }
             let mut rb = 1;
-            while j + rb < b.len() && b[j + rb].shr(shift) == pb {
+            while j + rb < b.len() && cell(b[j + rb]) == pb {
                 rb += 1;
             }
             total += ra as u64 * rb as u64;
@@ -522,15 +435,14 @@ fn cross_prefix_product_sum<K: MortonKey>(a: &[K], b: &[K], shift: u32) -> u64 {
     total
 }
 
-/// `Σᵢ C_i(C_i−1)/2` at one dyadic level: run lengths of equal prefixes in
-/// one sorted key array.
-fn self_prefix_pair_sum<K: MortonKey>(a: &[K], shift: u32) -> u64 {
+/// `Σᵢ C_i(C_i−1)/2`: run lengths of equal cells in one sorted key array.
+fn self_prefix_pair_sum<K: Copy, C: Eq>(a: &[K], cell: impl Fn(K) -> C) -> u64 {
     let mut i = 0usize;
     let mut total = 0u64;
     while i < a.len() {
-        let p = a[i].shr(shift);
+        let p = cell(a[i]);
         let mut run = 1;
-        while i + run < a.len() && a[i + run].shr(shift) == p {
+        while i + run < a.len() && cell(a[i + run]) == p {
             run += 1;
         }
         total += run as u64 * (run as u64 - 1) / 2;
@@ -539,213 +451,169 @@ fn self_prefix_pair_sum<K: MortonKey>(a: &[K], shift: u32) -> u64 {
     total
 }
 
-/// Values for all levels (finest first) via the single-sort engine, cross
-/// join.
-fn sorted_values_cross<K: MortonKey, const D: usize>(
+// ---------------------------------------------------------------------------
+// Morton keys, sorted once
+// ---------------------------------------------------------------------------
+
+/// Quantizes every point at the finest dyadic level and interleaves the
+/// coordinates into Morton keys, fanning out over `threads`.
+fn morton_keys<K: MortonKey, const D: usize>(
+    pts: &[Point<D>],
+    levels: u32,
+    threads: usize,
+) -> Vec<K> {
+    let s = 0.5f64.powi(levels as i32);
+    let cells = 1u64 << levels;
+    let key_of = |p: &Point<D>| K::interleave(&cell_key(p, cells, s), levels);
+    let mut keys = vec![K::default(); pts.len()];
+    let t = data_threads(pts.len(), threads);
+    if t <= 1 {
+        for (k, p) in keys.iter_mut().zip(pts) {
+            *k = key_of(p);
+        }
+    } else {
+        let chunk = pts.len().div_ceil(t);
+        let key_of = &key_of;
+        crossbeam::thread::scope(|sc| {
+            for (kc, pc) in keys.chunks_mut(chunk).zip(pts.chunks(chunk)) {
+                sc.spawn(move |_| {
+                    for (k, p) in kc.iter_mut().zip(pc) {
+                        *k = key_of(p);
+                    }
+                });
+            }
+        })
+        .expect("morton-key worker panicked");
+    }
+    keys
+}
+
+/// Values for all levels (finest first) from one sort of the Morton keys:
+/// a cross join when `b` is given, else a self join of `a`.
+fn morton_values<K: MortonKey, const D: usize>(
     a: &[Point<D>],
-    b: &[Point<D>],
+    b: Option<&[Point<D>]>,
     levels: u32,
     threads: usize,
 ) -> Vec<u64> {
     let quantize = sjpl_obs::span("bops.quantize");
     let mut ka = morton_keys::<K, D>(a, levels, threads);
-    let mut kb = morton_keys::<K, D>(b, levels, threads);
+    let mut kb = b.map(|b| morton_keys::<K, D>(b, levels, threads));
     quantize.close();
     let sort = sjpl_obs::span("bops.sort");
     par_sort_unstable(&mut ka, threads);
-    par_sort_unstable(&mut kb, threads);
+    if let Some(kb) = &mut kb {
+        par_sort_unstable(kb, threads);
+    }
     sort.close();
     let scan = sjpl_obs::span("bops.scan");
     per_level(levels, threads, scan.context(), |i| {
-        cross_prefix_product_sum(&ka, &kb, D as u32 * i)
-    })
-}
-
-/// Values for all levels (finest first) via the single-sort engine, self
-/// join.
-fn sorted_values_self<K: MortonKey, const D: usize>(
-    a: &[Point<D>],
-    levels: u32,
-    threads: usize,
-) -> Vec<u64> {
-    let quantize = sjpl_obs::span("bops.quantize");
-    let mut ka = morton_keys::<K, D>(a, levels, threads);
-    quantize.close();
-    let sort = sjpl_obs::span("bops.sort");
-    par_sort_unstable(&mut ka, threads);
-    sort.close();
-    let scan = sjpl_obs::span("bops.scan");
-    per_level(levels, threads, scan.context(), |i| {
-        self_prefix_pair_sum(&ka, D as u32 * i)
+        let shift = D as u32 * i;
+        match &kb {
+            Some(kb) => cross_prefix_product_sum(&ka, kb, |k| k.shr(shift)),
+            None => self_prefix_pair_sum(&ka, |k| k.shr(shift)),
+        }
     })
 }
 
 // ---------------------------------------------------------------------------
-// HashMap engine (Figure 7 verbatim, FxHash, thread-partial maps)
+// Per-level keys
 // ---------------------------------------------------------------------------
 
-/// Splits `pts` into exactly `t` chunks (trailing ones possibly empty) so
-/// worker `i` always has a slice to own.
-fn chunks_padded<T>(pts: &[T], t: usize) -> Vec<&[T]> {
-    let chunk = pts.len().div_ceil(t).max(1);
-    let mut out: Vec<&[T]> = pts.chunks(chunk).collect();
-    out.resize(t, &[]);
-    out
+/// Packs `D` cell coordinates of `bits` bits each into one integer key.
+#[inline]
+fn pack<K, const D: usize>(coords: [u32; D], bits: u32) -> K
+where
+    K: From<u32> + Shl<u32, Output = K> + BitOr<Output = K>,
+{
+    coords
+        .into_iter()
+        .fold(K::from(0), |k, c| (k << bits) | K::from(c))
 }
 
-/// One level of the cross-join product-sum via occupancy maps.
-fn hashmap_level_cross<const D: usize>(
+/// One level's sum from sorted keys: the cross join when `b` is given, else
+/// the self join of `a`.
+fn sorted_level<K: Ord + Copy, const D: usize>(
     a: &[Point<D>],
-    b: &[Point<D>],
-    s: f64,
-    threads: usize,
+    b: Option<&[Point<D>]>,
+    key: impl Fn(&Point<D>) -> K,
 ) -> u64 {
-    let cells = cells_per_axis(s);
-    let t = data_threads(a.len() + b.len(), threads);
-    let mut occ: FxHashMap<[u32; D], (u64, u64)> = FxHashMap::default();
-    if t <= 1 {
-        for p in a {
-            occ.entry(cell_key(p, cells, s)).or_insert((0, 0)).0 += 1;
-        }
-        for p in b {
-            occ.entry(cell_key(p, cells, s)).or_insert((0, 0)).1 += 1;
-        }
-    } else {
-        let a_chunks = chunks_padded(a, t);
-        let b_chunks = chunks_padded(b, t);
-        let partials = crossbeam::thread::scope(|sc| {
-            let handles: Vec<_> = a_chunks
-                .into_iter()
-                .zip(b_chunks)
-                .map(|(ac, bc)| {
-                    sc.spawn(move |_| {
-                        let mut local: FxHashMap<[u32; D], (u64, u64)> = FxHashMap::default();
-                        for p in ac {
-                            local.entry(cell_key(p, cells, s)).or_insert((0, 0)).0 += 1;
-                        }
-                        for p in bc {
-                            local.entry(cell_key(p, cells, s)).or_insert((0, 0)).1 += 1;
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("occupancy worker panicked"))
-                .collect::<Vec<_>>()
-        })
-        .expect("crossbeam scope failed");
-        for partial in partials {
-            for (k, (ca, cb)) in partial {
-                let e = occ.entry(k).or_insert((0, 0));
-                e.0 += ca;
-                e.1 += cb;
-            }
-        }
+    let sorted_keys = |pts: &[Point<D>]| {
+        let mut keys: Vec<K> = pts.iter().map(&key).collect();
+        keys.sort_unstable();
+        keys
+    };
+    let ka = sorted_keys(a);
+    match b {
+        Some(b) => cross_prefix_product_sum(&ka, &sorted_keys(b), |k| k),
+        None => self_prefix_pair_sum(&ka, |k| k),
     }
-    occ.values().map(|&(ca, cb)| ca * cb).sum()
 }
 
-/// One level of the self-join pair-sum via occupancy maps.
-fn hashmap_level_self<const D: usize>(a: &[Point<D>], s: f64, threads: usize) -> u64 {
-    let cells = cells_per_axis(s);
-    let t = data_threads(a.len(), threads);
-    let mut occ: FxHashMap<[u32; D], u64> = FxHashMap::default();
-    if t <= 1 {
-        for p in a {
-            *occ.entry(cell_key(p, cells, s)).or_insert(0) += 1;
+/// The same sum counted into a dense array of `space` cells — cheaper than
+/// sorting once the level's whole key space is no larger than the input.
+fn dense_level<const D: usize>(
+    a: &[Point<D>],
+    b: Option<&[Point<D>]>,
+    space: usize,
+    key: impl Fn(&Point<D>) -> u64,
+) -> u64 {
+    let mut count = vec![0u64; space];
+    let mut total = 0u64;
+    match b {
+        Some(b) => {
+            for p in a {
+                count[key(p) as usize] += 1;
+            }
+            for p in b {
+                total += count[key(p) as usize];
+            }
         }
-    } else {
-        let partials = crossbeam::thread::scope(|sc| {
-            let handles: Vec<_> = chunks_padded(a, t)
-                .into_iter()
-                .map(|ac| {
-                    sc.spawn(move |_| {
-                        let mut local: FxHashMap<[u32; D], u64> = FxHashMap::default();
-                        for p in ac {
-                            *local.entry(cell_key(p, cells, s)).or_insert(0) += 1;
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("occupancy worker panicked"))
-                .collect::<Vec<_>>()
-        })
-        .expect("crossbeam scope failed");
-        for partial in partials {
-            for (k, c) in partial {
-                *occ.entry(k).or_insert(0) += c;
+        // Each point pairs with the points already counted in its cell.
+        None => {
+            for p in a {
+                let c = &mut count[key(p) as usize];
+                total += *c;
+                *c += 1;
             }
         }
     }
-    occ.values().map(|&c| c * (c - 1) / 2).sum()
+    total
+}
+
+/// One level of the per-level path at cell side `s`, keyed by the
+/// narrowest representation of the level's cell coordinates.
+fn per_level_count<const D: usize>(a: &[Point<D>], b: Option<&[Point<D>]>, s: f64) -> u64 {
+    let cells = cells_per_axis(s);
+    let bits = u64::BITS - (cells - 1).leading_zeros();
+    let key_bits = D as u32 * bits;
+    let coords = |p: &Point<D>| cell_key(p, cells, s);
+    let n = a.len() + b.map_or(0, <[_]>::len);
+    if key_bits < 64 && 1u64 << key_bits <= n as u64 {
+        dense_level(a, b, 1 << key_bits, |p| pack::<u64, D>(coords(p), bits))
+    } else if key_bits <= 64 {
+        sorted_level(a, b, |p| pack::<u64, D>(coords(p), bits))
+    } else if key_bits <= 128 {
+        sorted_level(a, b, |p| pack::<u128, D>(coords(p), bits))
+    } else {
+        sorted_level(a, b, coords)
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Public plot builders
 // ---------------------------------------------------------------------------
 
-/// Builds the BOPS plot of a cross join — Figure 7's product-sums, computed
-/// by the engine the config selects (see the module docs). O(N+M) per grid
-/// level either way; the sorted engine quantizes and sorts only once for
-/// all levels.
+/// Builds the BOPS plot of a cross join — Figure 7's product-sums, counted
+/// under the key schedule the config selects (see the module docs). O(N+M)
+/// per grid level either way, up to the sort; the Morton schedule
+/// quantizes and sorts only once for all levels.
 pub fn bops_plot_cross<const D: usize>(
     a: &PointSet<D>,
     b: &PointSet<D>,
     cfg: &BopsConfig,
 ) -> Result<BopsPlot, CoreError> {
-    check_cfg(cfg)?;
-    let (engine, fallback) = resolve_engine_observed::<D>(cfg)?;
-    if a.is_empty() || b.is_empty() {
-        return Err(CoreError::Geom(sjpl_geom::GeomError::EmptySet));
-    }
-    sjpl_obs::counter_add("bops.plots", 1);
-    sjpl_obs::counter_add("bops.points", (a.len() + b.len()) as u64);
-    sjpl_obs::gauge_set("bops.levels", cfg.levels as f64);
-    let _plot = sjpl_obs::span_with("bops.plot", || {
-        format!(
-            "join=cross points={} levels={} engine={}",
-            a.len() + b.len(),
-            cfg.levels,
-            engine.name()
-        )
-    });
-    let normalize = sjpl_obs::span("bops.normalize");
-    let info = NormalizeInfo::from_sets(&[a, b])?;
-    let na = a.normalized(&info);
-    let nb = b.normalized(&info);
-    normalize.close();
-    let threads = resolve_threads(cfg.threads);
-    let sides = cfg.sides();
-    let values: Vec<u64> = match engine {
-        ResolvedEngine::Sorted64 => {
-            sorted_values_cross::<u64, D>(na.points(), nb.points(), cfg.levels, threads)
-        }
-        ResolvedEngine::Sorted128 => {
-            sorted_values_cross::<u128, D>(na.points(), nb.points(), cfg.levels, threads)
-        }
-        ResolvedEngine::Hash => {
-            let _scan = sjpl_obs::span("bops.scan");
-            sides
-                .iter()
-                .map(|&s| hashmap_level_cross(na.points(), nb.points(), s, threads))
-                .collect()
-        }
-    };
-    Ok(BopsPlot {
-        radii: sides.iter().map(|&s| info.invert_dist(s / 2.0)).collect(),
-        values: values.into_iter().map(|v| v as f64).collect(),
-        sides_normalized: sides,
-        kind: JoinKind::Cross,
-        n: a.len(),
-        m: b.len(),
-        engine_used: engine.name(),
-        fallback,
-    })
+    plot(a, Some(b), cfg)
 }
 
 /// Builds the BOPS plot of a self join. With `A == B` the product-sum
@@ -757,49 +625,64 @@ pub fn bops_plot_self<const D: usize>(
     a: &PointSet<D>,
     cfg: &BopsConfig,
 ) -> Result<BopsPlot, CoreError> {
+    plot(a, None, cfg)
+}
+
+/// The cross join of `a` and `b` when `b` is given, else the self join of
+/// `a`.
+fn plot<const D: usize>(
+    a: &PointSet<D>,
+    b: Option<&PointSet<D>>,
+    cfg: &BopsConfig,
+) -> Result<BopsPlot, CoreError> {
     check_cfg(cfg)?;
-    let (engine, fallback) = resolve_engine_observed::<D>(cfg)?;
-    if a.len() < 2 {
+    let (schedule, fallback) = key_schedule_observed::<D>(cfg);
+    let (kind, m, too_small) = match b {
+        Some(b) => (JoinKind::Cross, b.len(), a.is_empty() || b.is_empty()),
+        None => (JoinKind::SelfJoin, a.len(), a.len() < 2),
+    };
+    if too_small {
         return Err(CoreError::Geom(sjpl_geom::GeomError::EmptySet));
     }
+    let points = a.len() + b.map_or(0, PointSet::len);
     sjpl_obs::counter_add("bops.plots", 1);
-    sjpl_obs::counter_add("bops.points", a.len() as u64);
+    sjpl_obs::counter_add("bops.points", points as u64);
     sjpl_obs::gauge_set("bops.levels", cfg.levels as f64);
     let _plot = sjpl_obs::span_with("bops.plot", || {
         format!(
-            "join=self points={} levels={} engine={}",
-            a.len(),
+            "join={} points={points} levels={} engine={}",
+            if b.is_some() { "cross" } else { "self" },
             cfg.levels,
-            engine.name()
+            schedule.name()
         )
     });
     let normalize = sjpl_obs::span("bops.normalize");
-    let info = NormalizeInfo::from_sets(&[a])?;
+    let sets: Vec<&PointSet<D>> = std::iter::once(a).chain(b).collect();
+    let info = NormalizeInfo::from_sets(&sets)?;
     let na = a.normalized(&info);
+    let nb = b.map(|b| b.normalized(&info));
     normalize.close();
+    let (pa, pb) = (na.points(), nb.as_ref().map(PointSet::points));
     let threads = resolve_threads(cfg.threads);
     let sides = cfg.sides();
-    let values: Vec<u64> = match engine {
-        ResolvedEngine::Sorted64 => sorted_values_self::<u64, D>(na.points(), cfg.levels, threads),
-        ResolvedEngine::Sorted128 => {
-            sorted_values_self::<u128, D>(na.points(), cfg.levels, threads)
-        }
-        ResolvedEngine::Hash => {
-            let _scan = sjpl_obs::span("bops.scan");
-            sides
-                .iter()
-                .map(|&s| hashmap_level_self(na.points(), s, threads))
-                .collect()
+    let values = match schedule {
+        KeySchedule::Morton64 => morton_values::<u64, D>(pa, pb, cfg.levels, threads),
+        KeySchedule::Morton128 => morton_values::<u128, D>(pa, pb, cfg.levels, threads),
+        KeySchedule::PerLevel => {
+            let scan = sjpl_obs::span("bops.scan");
+            per_level(cfg.levels, threads, scan.context(), |i| {
+                per_level_count(pa, pb, sides[i as usize])
+            })
         }
     };
     Ok(BopsPlot {
         radii: sides.iter().map(|&s| info.invert_dist(s / 2.0)).collect(),
         values: values.into_iter().map(|v| v as f64).collect(),
         sides_normalized: sides,
-        kind: JoinKind::SelfJoin,
+        kind,
         n: a.len(),
-        m: a.len(),
-        engine_used: engine.name(),
+        m,
+        engine_used: schedule.name(),
         fallback,
     })
 }
@@ -924,75 +807,64 @@ mod tests {
     }
 
     #[test]
-    fn forced_sorted_engine_rejects_unsupported_configs() {
-        let a = uniform(50, 12);
-        // Non-dyadic ratio: coarser cells are not key prefixes.
-        let cfg = BopsConfig {
-            ratio: 0.8,
-            ..BopsConfig::default()
+    fn cell_coord_matches_the_u64_formula() {
+        let old = |x: f64, s: f64, cells: u64| ((x / s) as u64).min(cells - 1) as u32;
+        let dyadic = (1..=31).map(|j| 0.5f64.powi(j));
+        let gentle = (0..95).map(|j| 0.5 * 0.8f64.powi(j));
+        for s in dyadic.chain(gentle) {
+            let cells = cells_per_axis(s);
+            assert!(cells <= u32::MAX as u64, "side {s} outside check_cfg");
+            let ks = (0..64).chain([cells - 1, cells, cells + 1]);
+            for k in ks {
+                let ks = k as f64 * s;
+                for x in [0.0, 1.0, ks, ks.next_up(), ks.next_down(), 2.0, 1e12] {
+                    assert_eq!(
+                        cell_coord(x, s, cells),
+                        old(x, s, cells),
+                        "x = {x:e}, s = {s:e}"
+                    );
+                }
+            }
         }
-        .with_engine(BopsEngine::SortedMorton);
-        assert!(matches!(
-            bops_plot_self(&a, &cfg),
-            Err(CoreError::BadConfig(_))
-        ));
-        // 16-d x 12 levels = 192 key bits > 128.
-        let hd = sjpl_datagen::manifold::eigenfaces_like(100, 1);
-        let cfg = BopsConfig::dyadic(12).with_engine(BopsEngine::SortedMorton);
-        assert!(matches!(
-            bops_plot_self(&hd, &cfg),
-            Err(CoreError::BadConfig(_))
-        ));
-        // ...but 8 levels (128 bits) still fits, via the u128 key.
-        let cfg = BopsConfig::dyadic(8).with_engine(BopsEngine::SortedMorton);
-        assert!(bops_plot_self(&hd, &cfg).is_ok());
     }
 
     #[test]
     fn auto_resolution_picks_the_expected_engine() {
         assert_eq!(
-            resolve_engine::<2>(&BopsConfig::dyadic(12)).unwrap().0,
-            ResolvedEngine::Sorted64
+            key_schedule::<2>(&BopsConfig::dyadic(12)).0,
+            KeySchedule::Morton64
         );
         assert_eq!(
-            resolve_engine::<8>(&BopsConfig::dyadic(12)).unwrap().0,
-            ResolvedEngine::Sorted128
+            key_schedule::<8>(&BopsConfig::dyadic(12)).0,
+            KeySchedule::Morton128
         );
         assert_eq!(
-            resolve_engine::<16>(&BopsConfig::dyadic(12)).unwrap().0,
-            ResolvedEngine::Hash
+            key_schedule::<8>(&BopsConfig::dyadic(16)).0,
+            KeySchedule::Morton128
         );
         assert_eq!(
-            resolve_engine::<2>(&BopsConfig::high_dimensional())
-                .unwrap()
-                .0,
-            ResolvedEngine::Hash
+            key_schedule::<16>(&BopsConfig::dyadic(12)).0,
+            KeySchedule::PerLevel
         );
         assert_eq!(
-            resolve_engine::<2>(&BopsConfig::dyadic(12).with_engine(BopsEngine::HashMap))
-                .unwrap()
-                .0,
-            ResolvedEngine::Hash
+            key_schedule::<2>(&BopsConfig::high_dimensional()).0,
+            KeySchedule::PerLevel
         );
     }
 
     #[test]
-    fn auto_fallback_to_hashmap_is_reported_not_silent() {
-        // 16-d x 12 dyadic levels: 192 key bits — Auto must fall back and
-        // say so on the plot.
-        let (_, reason) = resolve_engine::<16>(&BopsConfig::dyadic(12)).unwrap();
+    fn per_level_fallback_is_reported_not_silent() {
+        // 16-d x 12 dyadic levels: 192 key bits — the per-level path runs
+        // and the plot says why.
+        let (_, reason) = key_schedule::<16>(&BopsConfig::dyadic(12));
         assert!(reason.unwrap().contains("192"));
-        // Non-dyadic ratio: the other fallback trigger.
-        let (_, reason) = resolve_engine::<2>(&BopsConfig::high_dimensional()).unwrap();
+        // Non-dyadic ratio: the other trigger.
+        let (_, reason) = key_schedule::<2>(&BopsConfig::high_dimensional());
         assert!(reason.unwrap().contains("non-dyadic"));
-        // A forced HashMap engine is a deliberate choice, not a fallback.
-        let (_, reason) =
-            resolve_engine::<16>(&BopsConfig::dyadic(12).with_engine(BopsEngine::HashMap)).unwrap();
-        assert!(reason.is_none());
-        // End to end: the plot carries the fallback and the engine name.
+        // End to end: the plot carries the reason and the schedule name.
         let hd = sjpl_datagen::manifold::eigenfaces_like(100, 1);
         let plot = bops_plot_self(&hd, &BopsConfig::dyadic(12)).unwrap();
-        assert_eq!(plot.engine_used(), "hashmap");
+        assert_eq!(plot.engine_used(), "sorted-per-level");
         assert!(plot.fallback().is_some());
         let fast = bops_plot_self(&uniform(100, 2), &BopsConfig::dyadic(12)).unwrap();
         assert_eq!(fast.engine_used(), "sorted-morton-64");
@@ -1021,37 +893,49 @@ mod tests {
         assert!(snap.gauge("fit.exponent").is_some());
     }
 
+    /// Both key schedules agree on dyadic configs, where both can run: the
+    /// per-level keys (dense at the coarse levels, `u64` then `u128` at the
+    /// fine ones) against one sort of the Morton keys.
+    fn assert_schedules_agree<K: MortonKey, const D: usize>(
+        a: &[Point<D>],
+        b: &[Point<D>],
+        levels: u32,
+    ) {
+        let sides = BopsConfig::dyadic(levels).sides();
+        let per_level = |b: Option<&[Point<D>]>| -> Vec<u64> {
+            sides.iter().map(|&s| per_level_count(a, b, s)).collect()
+        };
+        assert_eq!(
+            morton_values::<K, D>(a, Some(b), levels, 1),
+            per_level(Some(b)),
+            "{D}-d cross"
+        );
+        assert_eq!(
+            morton_values::<K, D>(a, None, levels, 1),
+            per_level(None),
+            "{D}-d self"
+        );
+    }
+
     #[test]
     fn engines_agree_bit_for_bit_on_cross_and_self() {
         let a = uniform(1_500, 21);
         let b = uniform(1_200, 22);
-        let base = BopsConfig::dyadic(10);
-        let sorted = base.with_engine(BopsEngine::SortedMorton);
-        let hashed = base.with_engine(BopsEngine::HashMap);
-        let pc_s = bops_plot_cross(&a, &b, &sorted).unwrap();
-        let pc_h = bops_plot_cross(&a, &b, &hashed).unwrap();
-        assert_eq!(pc_s.values(), pc_h.values());
-        let ps_s = bops_plot_self(&a, &sorted).unwrap();
-        let ps_h = bops_plot_self(&a, &hashed).unwrap();
-        assert_eq!(ps_s.values(), ps_h.values());
+        assert_schedules_agree::<u64, 2>(a.points(), b.points(), 10);
+        let a = sjpl_datagen::uniform::unit_cube::<8>(600, 23);
+        let b = sjpl_datagen::uniform::unit_cube::<8>(500, 24);
+        assert_schedules_agree::<u128, 8>(a.points(), b.points(), 12);
     }
 
     #[test]
     fn thread_counts_do_not_change_values() {
         let a = uniform(3_000, 23);
         let b = uniform(2_000, 24);
-        for engine in [BopsEngine::SortedMorton, BopsEngine::HashMap] {
-            let seq = bops_plot_cross(&a, &b, &BopsConfig::dyadic(9).with_engine(engine)).unwrap();
+        for cfg in [BopsConfig::dyadic(9), BopsConfig::high_dimensional()] {
+            let seq = bops_plot_cross(&a, &b, &cfg).unwrap();
             for threads in [2, 4, 16, 0] {
-                let par = bops_plot_cross(
-                    &a,
-                    &b,
-                    &BopsConfig::dyadic(9)
-                        .with_engine(engine)
-                        .with_threads(threads),
-                )
-                .unwrap();
-                assert_eq!(seq.values(), par.values(), "{engine:?} threads {threads}");
+                let par = bops_plot_cross(&a, &b, &cfg.with_threads(threads)).unwrap();
+                assert_eq!(seq.values(), par.values(), "{cfg:?} threads {threads}");
             }
         }
     }

@@ -85,7 +85,7 @@ fn obs_lock() -> std::sync::MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-pub use bops::{bops_plot_cross, bops_plot_self, BopsConfig, BopsEngine, BopsPlot};
+pub use bops::{bops_plot_cross, bops_plot_self, BopsConfig, BopsPlot};
 pub use catalog::LawCatalog;
 pub use error::CoreError;
 pub use estimator::{EstimationMethod, SelectivityEstimator};

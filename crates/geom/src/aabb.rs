@@ -72,22 +72,6 @@ impl<const D: usize> Aabb<D> {
         (0..D).all(|i| self.lo[i] <= p[i] && p[i] <= self.hi[i])
     }
 
-    /// Returns `true` if the boxes overlap (inclusive bounds).
-    #[inline]
-    pub fn intersects(&self, other: &Self) -> bool {
-        (0..D).all(|i| self.lo[i] <= other.hi[i] && other.lo[i] <= self.hi[i])
-    }
-
-    /// The center of the box.
-    #[inline]
-    pub fn center(&self) -> Point<D> {
-        let mut c = [0.0; D];
-        for (i, v) in c.iter_mut().enumerate() {
-            *v = 0.5 * (self.lo[i] + self.hi[i]);
-        }
-        Point(c)
-    }
-
     /// Side length along axis `axis`.
     #[inline]
     pub fn extent(&self, axis: usize) -> f64 {
@@ -204,21 +188,6 @@ mod tests {
     }
 
     #[test]
-    fn intersection_cases() {
-        let b = unit_box();
-        let touching = Aabb {
-            lo: Point([1.0, 0.0]),
-            hi: Point([2.0, 1.0]),
-        };
-        let disjoint = Aabb {
-            lo: Point([2.0, 2.0]),
-            hi: Point([3.0, 3.0]),
-        };
-        assert!(b.intersects(&touching));
-        assert!(!b.intersects(&disjoint));
-    }
-
-    #[test]
     fn min_dist_point_inside_is_zero() {
         let b = unit_box();
         for m in [Metric::L1, Metric::L2, Metric::Linf] {
@@ -289,12 +258,12 @@ mod tests {
     }
 
     #[test]
-    fn longest_extent_and_center() {
+    fn longest_extent_is_the_widest_side() {
         let b = Aabb {
             lo: Point([0.0, -1.0]),
             hi: Point([2.0, 5.0]),
         };
+        assert_eq!(b.extent(0), 2.0);
         assert_eq!(b.longest_extent(), 6.0);
-        assert_eq!(b.center().coords(), [1.0, 2.0]);
     }
 }

@@ -21,10 +21,8 @@
 //! * [`join`] — one entry point over the nested-loop oracle and the three
 //!   engines above, used by the agreement tests and the benchmarks.
 //! * [`morton`] — the [`MortonKey`] interleaving trait behind sjpl-core's
-//!   sorted-Morton BOPS engine.
+//!   BOPS keys on the paper's dyadic grid schedule.
 //! * [`psort`] — parallel chunk-sort + merge for `Ord + Copy` arrays.
-//! * [`fxhash`] — the Fx multiplicative hasher and `FxHashMap` alias for
-//!   hot hash paths keyed by small integer tuples.
 //!
 //! Pair-count semantics follow the paper exactly: cross joins count ordered
 //! `(a, b)` pairs (up to `N·M`); self joins omit self-pairs and count each
@@ -39,7 +37,6 @@
 
 mod stats;
 
-pub mod fxhash;
 pub mod histogram;
 pub mod join;
 pub mod kdtree;
@@ -48,7 +45,6 @@ pub mod partition;
 pub mod psort;
 pub mod sweep;
 
-pub use fxhash::{FxBuildHasher, FxHashMap, FxHasher};
 pub use join::{pair_count, self_pair_count, JoinAlgorithm};
 pub use kdtree::KdTree;
 pub use morton::MortonKey;

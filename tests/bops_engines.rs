@@ -1,12 +1,19 @@
-//! Property tests pinning the tentpole guarantee of the BOPS engine split:
-//! the single-sort Morton engine and the per-level HashMap engine are
-//! **bit-identical** — same `BOPS(s)` values, same radii — for every input,
-//! dimension, join kind, and thread count. Any drift here means the
-//! prefix-truncation trick no longer quantizes like the per-level pass.
+//! Property tests pinning BOPS to a naive reference: `bops_plot_cross` /
+//! `bops_plot_self` must equal a per-level `BTreeMap` occupancy count — the
+//! Figure 7 algorithm, verbatim — **bit for bit**, for every input,
+//! dimension, join kind, grid schedule and thread count. The configs cover
+//! every key the counting kernel builds: Morton `u64` (1-, 2-, 3-d dyadic)
+//! and `u128` (8-d dyadic), and on the per-level path packed `u64` /
+//! `u128` keys, `[u32; D]` array keys (16-d dyadic, 192 key bits) and dense
+//! counts (the coarse levels of the gentle `high_dimensional()` schedule).
+
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use sjpl_core::{bops_plot_cross, bops_plot_self, BopsConfig, BopsEngine};
-use sjpl_geom::{Point, PointSet};
+use sjpl_core::{bops_plot_cross, bops_plot_self, BopsConfig};
+use sjpl_geom::{NormalizeInfo, Point, PointSet};
+
+const THREADS: [usize; 4] = [1, 2, 4, 0];
 
 /// Arbitrary D-dimensional point sets over a generously scaled box, so
 /// normalization, boundary clamps, and duplicate coordinates all get hit.
@@ -22,51 +29,77 @@ fn point_set<const D: usize>(min: usize, max: usize) -> impl Strategy<Value = Po
     .prop_map(|v| PointSet::new("prop", v))
 }
 
-/// Cross join: both engines, both thread counts, bit-for-bit equality of
-/// values and radii against the single-threaded HashMap reference.
-fn assert_cross_engines_agree<const D: usize>(a: &PointSet<D>, b: &PointSet<D>, levels: u32) {
-    let base = BopsConfig::dyadic(levels);
-    let reference = bops_plot_cross(a, b, &base.with_engine(BopsEngine::HashMap)).unwrap();
-    for threads in [1usize, 4] {
-        for engine in [
-            BopsEngine::SortedMorton,
-            BopsEngine::HashMap,
-            BopsEngine::Auto,
-        ] {
-            let cfg = base.with_engine(engine).with_threads(threads);
-            let plot = bops_plot_cross(a, b, &cfg).unwrap();
-            assert_eq!(
-                plot.values(),
-                reference.values(),
-                "{D}-d cross values diverge: {engine:?}, {threads} threads"
-            );
-            assert_eq!(
-                plot.radii(),
-                reference.radii(),
-                "{D}-d cross radii diverge: {engine:?}, {threads} threads"
-            );
-        }
+/// The reference: at each grid side, count every cell's `(A, B)`
+/// occupancy in an ordered map keyed by the cell coordinates, then sum
+/// `C_A·C_B` (cross, `b = Some`) or `C_A(C_A−1)/2` (self). Sides come from
+/// the plot under test; the normalization and quantization are redone here.
+fn reference<const D: usize>(a: &PointSet<D>, b: Option<&PointSet<D>>, sides: &[f64]) -> Vec<f64> {
+    let sets: Vec<&PointSet<D>> = std::iter::once(a).chain(b).collect();
+    let info = NormalizeInfo::from_sets(&sets).unwrap();
+    let na = a.normalized(&info);
+    let nb = b.map(|b| b.normalized(&info));
+    sides
+        .iter()
+        .map(|&s| {
+            let cells = (1.0 / s).ceil() as u64;
+            let cell = |p: &Point<D>| {
+                let mut k = [0u32; D];
+                for (i, c) in k.iter_mut().enumerate() {
+                    *c = ((p[i] / s) as u64).min(cells - 1) as u32;
+                }
+                k
+            };
+            let mut occ: BTreeMap<[u32; D], (u64, u64)> = BTreeMap::new();
+            for p in na.iter() {
+                occ.entry(cell(p)).or_default().0 += 1;
+            }
+            for p in nb.iter().flat_map(|nb| nb.iter()) {
+                occ.entry(cell(p)).or_default().1 += 1;
+            }
+            let total: u64 = match b {
+                Some(_) => occ.values().map(|&(ca, cb)| ca * cb).sum(),
+                None => occ.values().map(|&(ca, _)| ca * (ca - 1) / 2).sum(),
+            };
+            total as f64
+        })
+        .collect()
+}
+
+/// Cross join at every thread count: values bit-for-bit equal to the
+/// reference, radii equal to the single-threaded plot's.
+fn assert_cross_matches<const D: usize>(a: &PointSet<D>, b: &PointSet<D>, cfg: BopsConfig) {
+    let plots: Vec<_> = THREADS
+        .iter()
+        .map(|&t| bops_plot_cross(a, b, &cfg.with_threads(t)).unwrap())
+        .collect();
+    let expected = reference(a, Some(b), plots[0].sides_normalized());
+    for (plot, threads) in plots.iter().zip(THREADS) {
+        assert_eq!(
+            plot.values(),
+            expected,
+            "{D}-d cross values diverge: {cfg:?}, {threads} threads"
+        );
+        assert_eq!(
+            plot.radii(),
+            plots[0].radii(),
+            "{D}-d cross radii diverge: {cfg:?}, {threads} threads"
+        );
     }
 }
 
-/// Self join: same matrix, against the single-threaded HashMap reference.
-fn assert_self_engines_agree<const D: usize>(a: &PointSet<D>, levels: u32) {
-    let base = BopsConfig::dyadic(levels);
-    let reference = bops_plot_self(a, &base.with_engine(BopsEngine::HashMap)).unwrap();
-    for threads in [1usize, 4] {
-        for engine in [
-            BopsEngine::SortedMorton,
-            BopsEngine::HashMap,
-            BopsEngine::Auto,
-        ] {
-            let cfg = base.with_engine(engine).with_threads(threads);
-            let plot = bops_plot_self(a, &cfg).unwrap();
-            assert_eq!(
-                plot.values(),
-                reference.values(),
-                "{D}-d self values diverge: {engine:?}, {threads} threads"
-            );
-        }
+/// Self join at every thread count, against the reference.
+fn assert_self_matches<const D: usize>(a: &PointSet<D>, cfg: BopsConfig) {
+    let plots: Vec<_> = THREADS
+        .iter()
+        .map(|&t| bops_plot_self(a, &cfg.with_threads(t)).unwrap())
+        .collect();
+    let expected = reference(a, None, plots[0].sides_normalized());
+    for (plot, threads) in plots.iter().zip(THREADS) {
+        assert_eq!(
+            plot.values(),
+            expected,
+            "{D}-d self values diverge: {cfg:?}, {threads} threads"
+        );
     }
 }
 
@@ -76,35 +109,59 @@ proptest! {
     /// 1-d: keys are the coordinates themselves (no interleaving).
     #[test]
     fn engines_agree_1d(a in point_set::<1>(2, 120), b in point_set::<1>(1, 120)) {
-        assert_cross_engines_agree(&a, &b, 12);
-        assert_self_engines_agree(&a, 12);
+        assert_cross_matches(&a, &b, BopsConfig::dyadic(12));
+        assert_self_matches(&a, BopsConfig::dyadic(12));
     }
 
     /// 2-d: the paper's main case; exercises the fast Part1By1 interleave.
     #[test]
     fn engines_agree_2d(a in point_set::<2>(2, 120), b in point_set::<2>(1, 120)) {
-        assert_cross_engines_agree(&a, &b, 12);
-        assert_self_engines_agree(&a, 12);
+        assert_cross_matches(&a, &b, BopsConfig::dyadic(12));
+        assert_self_matches(&a, BopsConfig::dyadic(12));
     }
 
     /// 3-d: odd dimension, loop interleave, 36-bit keys still in u64.
     #[test]
     fn engines_agree_3d(a in point_set::<3>(2, 100), b in point_set::<3>(1, 100)) {
-        assert_cross_engines_agree(&a, &b, 12);
-        assert_self_engines_agree(&a, 12);
+        assert_cross_matches(&a, &b, BopsConfig::dyadic(12));
+        assert_self_matches(&a, BopsConfig::dyadic(12));
     }
 
     /// 8-d: 96-bit keys force the u128 Morton path.
     #[test]
     fn engines_agree_8d(a in point_set::<8>(2, 80), b in point_set::<8>(1, 80)) {
-        assert_cross_engines_agree(&a, &b, 12);
-        assert_self_engines_agree(&a, 12);
+        assert_cross_matches(&a, &b, BopsConfig::dyadic(12));
+        assert_self_matches(&a, BopsConfig::dyadic(12));
     }
 
     /// 8-d at 16 levels = exactly 128 key bits: the u128 width boundary.
     #[test]
     fn engines_agree_at_the_key_width_boundary(a in point_set::<8>(2, 50)) {
-        assert_self_engines_agree(&a, 16);
+        assert_self_matches(&a, BopsConfig::dyadic(16));
+    }
+
+    /// 16-d dyadic(12): 192 Morton bits, so every level gets its own keys —
+    /// packed u64 / u128 at the coarse levels, `[u32; 16]` arrays once
+    /// 16 · ⌈log₂ cells⌉ passes 128 bits.
+    #[test]
+    fn engines_agree_16d_dyadic(a in point_set::<16>(2, 60), b in point_set::<16>(1, 60)) {
+        assert_cross_matches(&a, &b, BopsConfig::dyadic(12));
+        assert_self_matches(&a, BopsConfig::dyadic(12));
+    }
+
+    /// 2-d gentle schedule: non-dyadic sides, packed u64 keys, and dense
+    /// counts wherever the level's key space fits within the input.
+    #[test]
+    fn engines_agree_2d_gentle(a in point_set::<2>(2, 240), b in point_set::<2>(1, 240)) {
+        assert_cross_matches(&a, &b, BopsConfig::high_dimensional());
+        assert_self_matches(&a, BopsConfig::high_dimensional());
+    }
+
+    /// 16-d gentle schedule on small inputs: packed u64 and u128 keys.
+    #[test]
+    fn engines_agree_16d_gentle_small(a in point_set::<16>(2, 60), b in point_set::<16>(1, 60)) {
+        assert_cross_matches(&a, &b, BopsConfig::high_dimensional());
+        assert_self_matches(&a, BopsConfig::high_dimensional());
     }
 
     /// Heavy duplication — many identical points — stresses run-length
@@ -116,21 +173,46 @@ proptest! {
     ) {
         let pts: Vec<Point<2>> = seeds.iter().cycle().take(seeds.len() * reps).copied().collect();
         let a = PointSet::new("dups", pts);
-        assert_cross_engines_agree(&a, &a, 10);
-        assert_self_engines_agree(&a, 10);
+        for cfg in [BopsConfig::dyadic(10), BopsConfig::high_dimensional()] {
+            assert_cross_matches(&a, &a, cfg);
+            assert_self_matches(&a, cfg);
+        }
     }
 }
 
-/// A point set whose spread collapses to a single cell at coarse levels and
-/// one point per cell at fine levels — deterministic spot-check that the
-/// engine agreement holds at both occupancy extremes.
+/// Point sets whose spread collapses to a single cell at coarse levels and
+/// one point per cell at fine levels — deterministic spot-checks that the
+/// counts hold at both occupancy extremes.
 #[test]
 fn engines_agree_on_degenerate_grids() {
     let line: Vec<Point<2>> = (0..64).map(|i| Point([i as f64, 0.0])).collect();
     let a = PointSet::new("line", line);
-    assert_cross_engines_agree(&a, &a, 8);
-    assert_self_engines_agree(&a, 8);
+    assert_cross_matches(&a, &a, BopsConfig::dyadic(8));
+    assert_self_matches(&a, BopsConfig::dyadic(8));
 
     let clump = PointSet::new("clump", vec![Point([0.25, 0.25]); 33]);
-    assert_self_engines_agree(&clump, 6);
+    assert_self_matches(&clump, BopsConfig::dyadic(6));
+
+    // A 16-d line along axis 0: the points differ only in the coordinate
+    // packed first, so a key that dropped any coordinate's bits would merge
+    // their cells.
+    let line16: Vec<Point<16>> = (0..64)
+        .map(|i| {
+            let mut c = [0.0; 16];
+            c[0] = i as f64;
+            Point(c)
+        })
+        .collect();
+    let a = PointSet::new("line16", line16);
+    assert_cross_matches(&a, &a, BopsConfig::dyadic(12));
+    assert_self_matches(&a, BopsConfig::dyadic(12));
+}
+
+/// 16-d gentle schedule — the eigenfaces law's config — with just enough
+/// points that the coarsest level's 2¹⁶-cell key space counts densely; the
+/// finer levels sort packed u64 and u128 keys.
+#[test]
+fn engines_agree_16d_gentle() {
+    let a = sjpl_datagen::manifold::eigenfaces_like(1 << 16, 3);
+    assert_self_matches(&a, BopsConfig::high_dimensional());
 }

@@ -12,7 +12,7 @@ use std::sync::Mutex;
 
 use sjpl_core::streaming::Side;
 use sjpl_core::{
-    bops_plot_self, pc_plot_self, BopsConfig, BopsEngine, FitOptions, PcPlotConfig, StreamingBops,
+    bops_plot_self, pc_plot_self, BopsConfig, FitOptions, PcPlotConfig, StreamingBops,
 };
 use sjpl_geom::Metric;
 use sjpl_index::{self_pair_count, JoinAlgorithm};
@@ -32,13 +32,10 @@ fn every_emitted_metric_name_is_registered() {
         // Datagen counters.
         let _ = sjpl_datagen::sierpinski::triangle(500, 7);
 
-        // Both BOPS engines, plot spans, engine event, fit gauges.
-        for engine in [BopsEngine::SortedMorton, BopsEngine::HashMap] {
-            let cfg = BopsConfig {
-                levels: 8,
-                engine,
-                ..BopsConfig::default()
-            };
+        // Both key schedules (Morton keys for the default plot, per-level
+        // keys for the gentle one): plot spans, engine event, fallback
+        // counter, fit gauges.
+        for cfg in [BopsConfig::default(), BopsConfig::high_dimensional()] {
             let plot = bops_plot_self(&pts, &cfg).unwrap();
             let _ = plot.fit(&fit).unwrap();
         }

@@ -1,14 +1,13 @@
 //! Streaming-vs-batch equivalence: a [`StreamingBops`] sketch fed point by
-//! point must produce exactly the BOPS plot the batch engines compute in one
-//! pass — for the cross join AND for both per-side self joins — under both
-//! batch counting engines (single-sort Morton and per-level HashMap).
+//! point must produce exactly the BOPS plot the batch path computes in one
+//! pass — for the cross join AND for both per-side self joins.
 //!
 //! The batch path normalizes by the joint bounding box of its inputs, so
 //! each comparison re-streams into a sketch whose declared address space
 //! equals that normalization (the [`NormalizeInfo`] round-trip below).
 
 use sjpl_core::streaming::Side;
-use sjpl_core::{bops_plot_cross, bops_plot_self, BopsConfig, BopsEngine, StreamingBops};
+use sjpl_core::{bops_plot_cross, bops_plot_self, BopsConfig, StreamingBops};
 use sjpl_datagen::{galaxy, uniform};
 use sjpl_geom::{Aabb, NormalizeInfo, Point, PointSet};
 
@@ -29,12 +28,8 @@ fn batch_bounds(sets: &[&PointSet<2>]) -> Aabb<2> {
     }
 }
 
-fn engines() -> [BopsEngine; 2] {
-    [BopsEngine::SortedMorton, BopsEngine::HashMap]
-}
-
 #[test]
-fn incremental_cross_plot_matches_both_batch_engines() {
+fn incremental_cross_plot_matches_batch() {
     let a = galaxy::correlated_pair(2_500, 2_000, 21).0;
     let b = uniform::unit_cube::<2>(2_000, 22);
     let mut s = StreamingBops::new(batch_bounds(&[&a, &b]), LEVELS).unwrap();
@@ -48,23 +43,20 @@ fn incremental_cross_plot_matches_both_batch_engines() {
             s.insert(Side::B, p).unwrap();
         }
     }
-    for engine in engines() {
-        let batch =
-            bops_plot_cross(&a, &b, &BopsConfig::dyadic(LEVELS).with_engine(engine)).unwrap();
-        let stream = s.plot();
-        assert_eq!(stream.len(), batch.radii().len());
-        for ((sr, sv), (&br, &bv)) in stream
-            .into_iter()
-            .zip(batch.radii().iter().zip(batch.values().iter()))
-        {
-            assert!((sr - br).abs() < 1e-12, "{engine:?}: radius {sr} vs {br}");
-            assert_eq!(sv, bv, "{engine:?}: cross BOPS at radius {sr}");
-        }
+    let batch = bops_plot_cross(&a, &b, &BopsConfig::dyadic(LEVELS)).unwrap();
+    let stream = s.plot();
+    assert_eq!(stream.len(), batch.radii().len());
+    for ((sr, sv), (&br, &bv)) in stream
+        .into_iter()
+        .zip(batch.radii().iter().zip(batch.values().iter()))
+    {
+        assert!((sr - br).abs() < 1e-12, "radius {sr} vs {br}");
+        assert_eq!(sv, bv, "cross BOPS at radius {sr}");
     }
 }
 
 #[test]
-fn incremental_self_plots_match_both_batch_engines() {
+fn incremental_self_plots_match_batch() {
     let a = galaxy::correlated_pair(3_000, 16, 31).0;
     let b = uniform::unit_cube::<2>(2_200, 32);
     // One sketch holds both sides; its per-side self sums must match the
@@ -75,18 +67,15 @@ fn incremental_self_plots_match_both_batch_engines() {
         for p in set.iter() {
             s.insert(side, p).unwrap();
         }
-        for engine in engines() {
-            let batch =
-                bops_plot_self(set, &BopsConfig::dyadic(LEVELS).with_engine(engine)).unwrap();
-            let stream = s.self_plot(side);
-            assert_eq!(stream.len(), batch.radii().len());
-            for ((sr, sv), (&br, &bv)) in stream
-                .into_iter()
-                .zip(batch.radii().iter().zip(batch.values().iter()))
-            {
-                assert!((sr - br).abs() < 1e-12, "{engine:?}: radius {sr} vs {br}");
-                assert_eq!(sv, bv, "{engine:?} {side:?}: self BOPS at radius {sr}");
-            }
+        let batch = bops_plot_self(set, &BopsConfig::dyadic(LEVELS)).unwrap();
+        let stream = s.self_plot(side);
+        assert_eq!(stream.len(), batch.radii().len());
+        for ((sr, sv), (&br, &bv)) in stream
+            .into_iter()
+            .zip(batch.radii().iter().zip(batch.values().iter()))
+        {
+            assert!((sr - br).abs() < 1e-12, "radius {sr} vs {br}");
+            assert_eq!(sv, bv, "{side:?}: self BOPS at radius {sr}");
         }
     }
 }
