@@ -207,7 +207,7 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
     };
     if tracing {
         sjpl_obs::set_enabled(false);
-        let snap = sjpl_obs::snapshot();
+        let snap = sjpl_obs::snapshot().with_timeline();
         sjpl_obs::reset();
         // Emit the snapshot even when the command failed: a trace of the
         // work done up to the error is exactly what debugging wants.

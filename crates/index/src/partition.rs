@@ -52,14 +52,20 @@ pub fn resolve_threads(threads: usize) -> usize {
     if threads > 0 {
         return threads;
     }
-    if let Ok(v) = std::env::var("SJPL_JOIN_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
+    if let Some(n) = std::env::var("SJPL_JOIN_THREADS")
+        .ok()
+        .and_then(|v| thread_override(&v))
+    {
+        return n;
     }
     std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Parses an `SJPL_JOIN_THREADS` value: a positive integer, surrounding
+/// whitespace allowed; anything else (empty, zero, negative, junk) is no
+/// override.
+fn thread_override(v: &str) -> Option<usize> {
+    v.trim().parse::<usize>().ok().filter(|&n| n > 0)
 }
 
 /// Number of slabs actually worth cutting for `owned` points on `threads`
@@ -498,5 +504,21 @@ mod tests {
         // explicit path.
         assert_eq!(resolve_threads(3), 3);
         assert!(resolve_threads(0) >= 1);
+    }
+
+    #[test]
+    fn thread_override_takes_positive_integers_only() {
+        for (v, want) in [
+            ("1", Some(1)),
+            ("3", Some(3)),
+            (" 8\n", Some(8)),
+            ("0", None),
+            ("-2", None),
+            ("", None),
+            ("four", None),
+            ("2.5", None),
+        ] {
+            assert_eq!(thread_override(v), want, "SJPL_JOIN_THREADS={v:?}");
+        }
     }
 }

@@ -10,6 +10,22 @@
 //! [snapshot](snapshot) to structured JSON (schema 5) or export the
 //! timeline in [Chrome Trace Event Format](chrome) for Perfetto.
 //!
+//! # Reads
+//!
+//! There is one read, [`snapshot`], and it copies aggregates only: spans
+//! with their histograms, counters, gauges, events, accuracy records and
+//! the timeline's exact `dropped_events`. The flight-recorder ring (up to
+//! 65 536 events) and the profiler's folded stacks are copied only by
+//! [`Snapshot::with_timeline`], which the outputs that print them call:
+//! the daemon's `/snapshot` and `/timeline`, the CLI's `--trace` /
+//! `--obs-out` / `--trace-out` and [`capture`]. Prometheus scrapes, TSDB
+//! ingest and SLO evaluation read no events. On a 2-vCPU host, copying a
+//! full default ring under the lock that every span close takes cost
+//! 1.2–1.5 ms a read, against 20 µs for the aggregate read alone and
+//! 80–140 µs for the Prometheus render; a `/metrics` scrape of the
+//! estimate daemon under load took 5 ms at the median with the copy and
+//! 0.6 ms without it.
+//!
 //! Design constraints (and how they are met):
 //!
 //! * **Near-zero cost when disabled.** Every recording entry point starts
@@ -46,9 +62,11 @@
 //!     }
 //!     sjpl_obs::gauge_set("demo.ratio", 0.75);
 //! } // spans record (aggregate + timeline) as they drop
-//! let snap = sjpl_obs::snapshot();
+//! let snap = sjpl_obs::snapshot(); // aggregates only: no timeline events
 //! assert_eq!(snap.counter("demo.items"), Some(128));
 //! assert_eq!(snap.span("demo.stage").unwrap().count, 1);
+//! assert!(snap.timeline.events.is_empty());
+//! let snap = snap.with_timeline(); // copies the ring and the profile
 //! let child = &snap.timeline.by_name("demo.child")[0];
 //! let stage = &snap.timeline.by_name("demo.stage")[0];
 //! assert_eq!(child.parent, stage.id);
@@ -466,9 +484,13 @@ pub fn accuracy(rec: Accuracy) {
 // Snapshots
 // ---------------------------------------------------------------------------
 
-/// Takes a point-in-time snapshot of everything recorded so far — the
-/// aggregates *and* the timeline ring. Works whether or not the recorder
-/// is currently enabled (so a caller can disable first and then snapshot a
+/// Takes a point-in-time snapshot of the aggregates recorded so far:
+/// spans and their histograms, counters, gauges, events, accuracy records
+/// and the timeline's exact `dropped_events`. It copies no timeline events
+/// and no profile — that is what makes it cheap enough for every scrape
+/// and TSDB tick. Call [`Snapshot::with_timeline`] on the result where the
+/// ring and the profile are printed. Works whether or not the recorder is
+/// currently enabled (so a caller can disable first and then snapshot a
 /// quiesced registry).
 pub fn snapshot() -> Snapshot {
     let r = registry();
@@ -511,24 +533,28 @@ pub fn snapshot() -> Snapshot {
         events_dropped,
         accuracy,
         accuracy_dropped,
-        timeline: timeline::snapshot(),
-        profile: prof::current_profile(),
+        timeline: TimelineSnapshot {
+            events: Vec::new(),
+            dropped_events: timeline::dropped(),
+        },
+        profile: None,
         tsdb: None,
         alerts: Vec::new(),
     }
 }
 
 /// Runs `f` with the recorder enabled and a fresh registry, returning `f`'s
-/// result alongside the snapshot of everything it recorded; the previous
-/// enabled state is restored afterwards. Intended for tests and for harness
-/// code (benches, CLI) that wants an isolated capture window.
+/// result alongside the snapshot of everything it recorded, timeline and
+/// profile included; the previous enabled state is restored afterwards.
+/// Intended for tests and for harness code (benches, CLI) that wants an
+/// isolated capture window.
 pub fn capture<T>(f: impl FnOnce() -> T) -> (T, Snapshot) {
     let was = enabled();
     reset();
     set_enabled(true);
     let out = f();
     set_enabled(was);
-    let snap = snapshot();
+    let snap = snapshot().with_timeline();
     if !was {
         reset();
     }
@@ -722,10 +748,37 @@ mod tests {
             let _s = span("t.reset.span");
         }
         reset();
-        let snap = snapshot();
+        let snap = snapshot().with_timeline();
         set_enabled(false);
         assert_eq!(snap.counter("t.reset"), None);
         assert!(snap.timeline.events.is_empty());
+    }
+
+    #[test]
+    fn aggregate_read_counts_the_ring_without_copying_it() {
+        let _g = locked();
+        set_timeline_capacity(4);
+        reset();
+        set_enabled(true);
+        let ids: Vec<u64> = (0..10)
+            .map(|_| span("t.split").context().span_id())
+            .collect();
+        set_enabled(false);
+        let agg = snapshot();
+        let full = snapshot().with_timeline();
+        set_timeline_capacity(timeline::DEFAULT_TIMELINE_CAPACITY);
+        reset();
+
+        assert!(agg.timeline.events.is_empty());
+        assert_eq!(agg.timeline.dropped_events, 6);
+        assert!(agg.profile.is_none());
+        assert_eq!(agg.span("t.split").unwrap().count, 10);
+        // The explicit read keeps the newest four, oldest first.
+        assert_eq!(full.timeline.dropped_events, 6);
+        let kept: Vec<u64> = full.timeline.events.iter().map(|e| e.id).collect();
+        assert_eq!(kept, ids[6..]);
+        // Same aggregates either way, so both render the same exposition.
+        assert_eq!(agg.to_prometheus(), full.to_prometheus());
     }
 
     #[test]

@@ -383,6 +383,38 @@ pub fn current_profile() -> Option<Profile> {
     LAST.lock().unwrap_or_else(|p| p.into_inner()).clone()
 }
 
+/// The accounting totals a scrape publishes, read without copying the
+/// folded stacks: see [`current_totals`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Totals {
+    /// Stack observations folded into the profile.
+    pub samples: u64,
+    /// Observations lost: `dropped + missed_ticks`.
+    pub dropped: u64,
+    /// Wall-clock time the sampler spent sweeping, ns.
+    pub overhead_ns: u64,
+}
+
+/// [`current_profile`]'s accounting totals, without cloning its folded
+/// stacks: the running sampler's live totals if one is active, otherwise
+/// the last completed profile's (if any).
+pub fn current_totals() -> Option<Totals> {
+    if let Some(h) = sampler().as_ref() {
+        let a = h.shared.accum.lock().unwrap_or_else(|p| p.into_inner());
+        return Some(Totals {
+            samples: a.samples,
+            dropped: a.dropped + a.missed_ticks,
+            overhead_ns: a.overhead_ns,
+        });
+    }
+    let last = LAST.lock().unwrap_or_else(|p| p.into_inner());
+    last.as_ref().map(|p| Totals {
+        samples: p.samples,
+        dropped: p.dropped + p.missed_ticks,
+        overhead_ns: p.overhead_ns,
+    })
+}
+
 /// Discards the last completed profile (the running sampler, if any, is
 /// unaffected). Called from [`reset`](crate::reset).
 pub(crate) fn clear_last() {

@@ -89,11 +89,13 @@ pub struct Snapshot {
     /// Accuracy records discarded because the retention cap was reached.
     pub accuracy_dropped: u64,
     /// The flight-recorder timeline: every closed span with its id, parent
-    /// id and thread id (bounded ring; see its `dropped_events`).
+    /// id and thread id (bounded ring; see its `dropped_events`). A plain
+    /// [`snapshot`](crate::snapshot) carries only the exact
+    /// `dropped_events`; [`Snapshot::with_timeline`] copies the events.
     pub timeline: TimelineSnapshot,
     /// The sampling profiler's folded profile: the running sampler's live
     /// accumulation, or the last completed window (`None` if the profiler
-    /// has never run).
+    /// has never run, and always `None` before [`Snapshot::with_timeline`]).
     pub profile: Option<crate::prof::Profile>,
     /// The in-process time-series store's accounting (`None` outside the
     /// daemon — batch commands run no scraper).
@@ -142,6 +144,39 @@ pub(crate) fn json_f64(v: f64) -> String {
 }
 
 impl Snapshot {
+    /// Attaches the recorder's timeline ring (retained events, oldest
+    /// first, with their exact `dropped_events`) and the current profile.
+    /// This is the expensive part of a full snapshot — a 65 536-event ring
+    /// copy — so only the outputs that print them call it: `/snapshot`,
+    /// `/timeline`, the CLI trace emit and [`capture`](crate::capture).
+    pub fn with_timeline(mut self) -> Snapshot {
+        self.timeline = crate::timeline::snapshot();
+        self.profile = crate::prof::current_profile();
+        self
+    }
+
+    /// Sets a gauge in this snapshot (inserted in name order when new), so
+    /// a value published to the recorder after the read can also land in
+    /// the output rendered from it.
+    pub fn set_gauge(&mut self, name: &str, v: f64) {
+        match self.gauges.binary_search_by(|(n, _)| n.as_str().cmp(name)) {
+            Ok(i) => self.gauges[i].1 = v,
+            Err(i) => self.gauges.insert(i, (name.to_owned(), v)),
+        }
+    }
+
+    /// Adds `n` to a counter in this snapshot (inserted at `n` in name
+    /// order when new); the counter counterpart of [`Snapshot::set_gauge`].
+    pub fn add_counter(&mut self, name: &str, n: u64) {
+        match self
+            .counters
+            .binary_search_by(|(c, _)| c.as_str().cmp(name))
+        {
+            Ok(i) => self.counters[i].1 += n,
+            Err(i) => self.counters.insert(i, (name.to_owned(), n)),
+        }
+    }
+
     /// Looks up a span snapshot by name.
     pub fn span(&self, name: &str) -> Option<&TimingSnapshot> {
         self.spans.iter().find(|s| s.name == name)

@@ -11,6 +11,9 @@
 //! ones) means the spans that close last — the roots of the tree — always
 //! survive a long run, so an overflowing trace degrades into "the tail of
 //! the run, with the tree intact above it" instead of a headless forest.
+//! Reading it is the expensive part: [`snapshot`](crate::snapshot) reports
+//! only the drop count, and [`Snapshot::with_timeline`](crate::Snapshot::with_timeline)
+//! copies the retained events out.
 //!
 //! Parentage is tracked with a per-thread stack of open spans: a span
 //! opened on a thread becomes the child of the innermost span still open
@@ -227,6 +230,11 @@ pub(crate) fn pop_open(id: u64) {
 /// Records one closed span into the ring.
 pub(crate) fn record(ev: TimelineEvent) {
     ring().push(ev);
+}
+
+/// Events overwritten since the last reset, without copying the ring.
+pub(crate) fn dropped() -> u64 {
+    ring().dropped()
 }
 
 /// Copies the ring out as a [`TimelineSnapshot`].

@@ -101,13 +101,21 @@ fn last_profile_is_retained_until_reset() {
         prof::current_profile().is_none(),
         "reset must clear the retained profile"
     );
+    assert!(prof::current_totals().is_none());
     let _ = prof::window(500.0, Duration::from_millis(10));
-    assert!(
-        prof::current_profile().is_some(),
-        "a finished window is retained for snapshots"
+    let p = prof::current_profile().expect("a finished window is retained for snapshots");
+    // The clone-free totals read the same retained profile.
+    assert_eq!(
+        prof::current_totals(),
+        Some(prof::Totals {
+            samples: p.samples,
+            dropped: p.dropped + p.missed_ticks,
+            overhead_ns: p.overhead_ns,
+        })
     );
     sjpl_obs::reset();
     assert!(prof::current_profile().is_none());
+    assert!(prof::current_totals().is_none());
 }
 
 #[test]

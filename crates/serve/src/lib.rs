@@ -58,7 +58,10 @@
 //! 30s'`) plus built-in multi-window SLO burn-rate and drift-breach rules
 //! on every scrape tick; alert states are served on `GET /alerts`, as
 //! `ALERTS{alertname,state}` series on `/metrics`, and in the `/snapshot`
-//! `alerts` section. `sjpl dash` is the human consumer.
+//! `alerts` section. `sjpl dash` is the human consumer. A tick and a
+//! `/metrics` scrape each take one aggregate recorder read (no timeline
+//! events) and evaluate the SLOs on it; only `/snapshot` and `/timeline`
+//! copy the flight-recorder ring.
 //!
 //! ## Drift monitoring
 //!

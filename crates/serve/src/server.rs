@@ -717,17 +717,13 @@ impl Drop for Scraper {
     }
 }
 
-/// One scrape: uptime + SLO gauges, recorder snapshot → TSDB, synthetic
-/// SLO series, alert evaluation, and `tsdb.*` accounting (counters are
-/// published as deltas against `prev` so they stay monotonic).
+/// One scrape: one recorder read (uptime gauge set first, SLO gauges
+/// evaluated on the read itself) → TSDB, synthetic SLO series, alert
+/// evaluation, and `tsdb.*` accounting (counters are published as deltas
+/// against `prev` so they stay monotonic).
 fn scrape_tick(shared: &Shared, prev: &mut TsdbStats) {
     let now = now_ms();
-    sjpl_obs::gauge_set(
-        "serve.uptime_seconds",
-        shared.started.elapsed().as_secs_f64(),
-    );
-    publish_slos(shared);
-    let snap = sjpl_obs::snapshot();
+    let snap = scrape_snapshot(shared);
     shared.tsdb.ingest(&snap, now);
     for spec in &shared.slos {
         let (good, total) = slo_good_total(spec, &snap);
@@ -1123,13 +1119,10 @@ fn exemplars_json(shared: &Shared) -> String {
 /// scrape carries the sampler's current sample/drop/overhead totals — for
 /// the continuous sampler while it runs, or the last finished window.
 fn publish_profiler_gauges() {
-    if let Some(p) = sjpl_obs::prof::current_profile() {
-        sjpl_obs::gauge_set("prof.live.samples", p.samples as f64);
-        sjpl_obs::gauge_set(
-            "prof.live.dropped_samples",
-            (p.dropped + p.missed_ticks) as f64,
-        );
-        sjpl_obs::gauge_set("prof.live.overhead_ns", p.overhead_ns as f64);
+    if let Some(t) = sjpl_obs::prof::current_totals() {
+        sjpl_obs::gauge_set("prof.live.samples", t.samples as f64);
+        sjpl_obs::gauge_set("prof.live.dropped_samples", t.dropped as f64);
+        sjpl_obs::gauge_set("prof.live.overhead_ns", t.overhead_ns as f64);
     }
 }
 
@@ -1351,13 +1344,8 @@ fn route(req: &Request, shared: &Shared, request_id: u64, deadline: Option<Insta
             // the time the span closes).
             let _scrape = sjpl_obs::span("serve.scrape");
             sjpl_obs::counter_add("serve.scrape.total", 1);
-            publish_slos(shared);
             publish_profiler_gauges();
-            sjpl_obs::gauge_set(
-                "serve.uptime_seconds",
-                shared.started.elapsed().as_secs_f64(),
-            );
-            let text = sjpl_obs::snapshot().to_prometheus();
+            let text = scrape_snapshot(shared).to_prometheus();
             let mut decorated = {
                 let store = shared.exemplars.lock().unwrap_or_else(|p| p.into_inner());
                 decorate_with_exemplars(&text, &store)
@@ -1376,7 +1364,7 @@ fn route(req: &Request, shared: &Shared, request_id: u64, deadline: Option<Insta
         }
         ("GET", "/snapshot") => {
             let _s = sjpl_obs::span("serve.snapshot");
-            let mut snap = sjpl_obs::snapshot();
+            let mut snap = sjpl_obs::snapshot().with_timeline();
             snap.tsdb = Some(
                 shared
                     .tsdb
@@ -1422,7 +1410,9 @@ fn route(req: &Request, shared: &Shared, request_id: u64, deadline: Option<Insta
         }
         ("GET", "/timeline") => {
             let _s = sjpl_obs::span("serve.timeline");
-            Routed::plain(Response::json(sjpl_obs::snapshot().to_chrome_trace()))
+            Routed::plain(Response::json(
+                sjpl_obs::snapshot().with_timeline().to_chrome_trace(),
+            ))
         }
         ("GET", "/healthz") => {
             let _s = sjpl_obs::span("serve.healthz");
@@ -1510,34 +1500,62 @@ fn route(req: &Request, shared: &Shared, request_id: u64, deadline: Option<Insta
     }
 }
 
-/// Evaluates every configured SLO against the live per-endpoint histograms
-/// and publishes compliance / burn-rate / breached gauges plus breach
-/// counters, so the `/metrics` response that follows carries them.
-fn publish_slos(shared: &Shared) {
+/// The one recorder read behind a `/metrics` scrape and a TSDB tick: sets
+/// the uptime gauge, takes an aggregate [`sjpl_obs::snapshot`] (no
+/// timeline events), and evaluates the SLOs on it.
+fn scrape_snapshot(shared: &Shared) -> Snapshot {
+    sjpl_obs::gauge_set(
+        "serve.uptime_seconds",
+        shared.started.elapsed().as_secs_f64(),
+    );
+    let mut snap = sjpl_obs::snapshot();
+    publish_slos(shared, &mut snap);
+    snap
+}
+
+/// Evaluates every configured SLO against the per-endpoint histograms in
+/// `snap` and publishes compliance / burn-rate / breached gauges plus
+/// breach counters to the recorder *and* into `snap`, so the output
+/// rendered from `snap` carries this evaluation.
+fn publish_slos(shared: &Shared, snap: &mut Snapshot) {
     if shared.slos.is_empty() {
         return;
     }
-    let snap = sjpl_obs::snapshot();
     let mut state = shared
         .slo_breached
         .lock()
         .unwrap_or_else(|p| p.into_inner());
     for spec in &shared.slos {
-        let st = spec.evaluate(&snap);
+        let st = spec.evaluate(snap);
         let ep = &st.endpoint;
-        sjpl_obs::gauge_set_named(format!("serve.slo.compliance.{ep}"), st.compliance);
-        sjpl_obs::gauge_set_named(format!("serve.slo.burn_rate.{ep}"), st.burn_rate);
-        sjpl_obs::gauge_set_named(
-            format!("serve.slo.breached.{ep}"),
-            if st.breached { 1.0 } else { 0.0 },
-        );
+        let breached = if st.breached { 1.0 } else { 0.0 };
+        gauge_into(snap, format!("serve.slo.compliance.{ep}"), st.compliance);
+        gauge_into(snap, format!("serve.slo.burn_rate.{ep}"), st.burn_rate);
+        gauge_into(snap, format!("serve.slo.breached.{ep}"), breached);
         let prev = state.entry(ep.clone()).or_insert(false);
         if st.breached && !*prev {
-            sjpl_obs::counter_add("serve.slo.breaches", 1);
-            sjpl_obs::counter_add_named(format!("serve.slo.breaches.{ep}"), 1);
+            counter_into(snap, "serve.slo.breaches".to_owned(), 1);
+            counter_into(snap, format!("serve.slo.breaches.{ep}"), 1);
         }
         *prev = st.breached;
     }
+}
+
+/// Sets a gauge in the recorder and in `snap`, a read taken before the
+/// write. A disabled recorder keeps nothing, so `snap` gets nothing either.
+fn gauge_into(snap: &mut Snapshot, name: String, v: f64) {
+    if sjpl_obs::enabled() {
+        snap.set_gauge(&name, v);
+    }
+    sjpl_obs::gauge_set_named(name, v);
+}
+
+/// The counter counterpart of [`gauge_into`].
+fn counter_into(snap: &mut Snapshot, name: String, n: u64) {
+    if sjpl_obs::enabled() {
+        snap.add_counter(&name, n);
+    }
+    sjpl_obs::counter_add_named(name, n);
 }
 
 /// `POST /estimate` — body `{"law": "<catalog name>", "radius": <r>}`;
@@ -1660,6 +1678,38 @@ mod tests {
             metrics_interval: Duration::from_secs(5),
             started: Instant::now(),
         }
+    }
+
+    /// A tick reads the recorder once and writes its SLO evaluation into
+    /// that read, so the TSDB holds this tick's values, not the last one's.
+    #[test]
+    fn scrape_tick_stores_its_own_slo_evaluation() {
+        sjpl_obs::set_enabled(true);
+        // No other test here records readyz requests.
+        let shared = Shared {
+            slos: vec![SloSpec::parse("/readyz=1ms@p50").unwrap()],
+            ..test_shared()
+        };
+        let latest = |name: &str| {
+            let r = shared.tsdb.query_str(name, now_ms()).unwrap();
+            r.map(|r| r.value)
+        };
+        let mut prev = TsdbStats::default();
+        scrape_tick(&shared, &mut prev);
+        assert_eq!(latest("serve.slo.compliance.readyz"), Some(1.0));
+        assert_eq!(latest("serve.slo.breached.readyz"), Some(0.0));
+        assert_eq!(latest("serve.slo.breaches.readyz"), None);
+
+        // One request in four meets 1 ms: compliance 0.25, burn 0.75 / 0.5.
+        for ns in [1_000, 5_000_000, 6_000_000, 7_000_000] {
+            sjpl_obs::record_ns_named("serve.endpoint.readyz.2xx", ns);
+        }
+        scrape_tick(&shared, &mut prev);
+        assert_eq!(latest("serve.slo.compliance.readyz"), Some(0.25));
+        assert_eq!(latest("serve.slo.burn_rate.readyz"), Some(1.5));
+        assert_eq!(latest("serve.slo.breached.readyz"), Some(1.0));
+        assert_eq!(latest("serve.slo.breaches.readyz"), Some(1.0));
+        assert_eq!(latest(&format!("{SLO_TOTAL_PREFIX}readyz")), Some(4.0));
     }
 
     #[test]
