@@ -15,8 +15,8 @@
 //!   the per-partition forward-sweep kernels and the [`SortedByAxis`]
 //!   sort-once wrapper.
 //! * [`partition`] — the partitioned *parallel* plane sweep (rank-striped
-//!   slabs, boundary-band replication with dedup-by-ownership, mini-
-//!   partition refinement for skew): the default exact-truth engine for
+//!   slabs, boundary-band replication with dedup-by-ownership, an axis-1
+//!   strip sweep inside each slab): the default exact-truth engine for
 //!   the accuracy pipeline.
 //! * [`join`] — one entry point over the nested-loop oracle and the three
 //!   engines above, used by the agreement tests and the benchmarks.

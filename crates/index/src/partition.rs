@@ -17,16 +17,22 @@
 //!    pair `(a, b)` only by the slab that owns `a`. Every pair is counted
 //!    exactly once, so the total is bit-identical to the nested loop for
 //!    every thread count — no merge-time dedup structure needed.
-//! 4. **Per-slab forward sweep** ([`crate::sweep::forward_sweep_self`] /
-//!    [`crate::sweep::forward_sweep_cross`]) on `std::thread::scope`
-//!    workers, one slab per worker.
-//! 5. **Mini-partition refinement for skew.** When a slab's working set is
-//!    degenerate along axis 0 (its whole extent fits in `≤ 2r` — e.g. a
-//!    duplicate-x cluster, or the dense core of a sierpinski/galaxy set at
-//!    a large radius), the axis-0 window prunes nothing and the sweep goes
-//!    quadratic. The slab then re-sorts its working set along axis 1 and
-//!    sweeps there instead, preserving the ownership rule via the points'
-//!    original axis-0 ranks.
+//! 4. **Per-slab workers** on `std::thread::scope`, one slab per worker.
+//! 5. **Strip sweep inside each slab.** A slab's working set is bucketed
+//!    into horizontal strips of height `h ≥ r` along axis 1 by one stable
+//!    counting pass over `u32` indices, so every strip keeps the axis-0
+//!    order. A pair within `r` differs by at most `r` along axis 1 too, so
+//!    it lies in one strip or in two neighboring ones; the plane sweep's
+//!    forward predicates (`x' > x + r` breaks, `rdist ≤ thresh` counts)
+//!    then run within each strip and between neighboring strips only. A
+//!    point checks a window `3h` tall instead of the whole `±r` band, so
+//!    on 2-d data the sweep evaluates about two distances per reported pair,
+//!    and a degenerate slab (a duplicate-x cluster, a dense fractal core at
+//!    a large radius) needs no separate path. Strips never change which
+//!    slab owns a pair, so the counts stay exact (see [`Strips`]).
+//!
+//! The serial [`crate::sweep`] join does not use strips: it stays the
+//! independent reference this engine is checked against.
 //!
 //! Observability: the planning, sweeping, and merging stages publish
 //! `join.partition` / `join.sweep` / `join.merge` spans (workers parent
@@ -34,15 +40,15 @@
 
 use sjpl_geom::{Metric, Point};
 
-use crate::sweep::{forward_sweep_cross, forward_sweep_self, SortedByAxis};
+use crate::sweep::SortedByAxis;
 
 /// Below this many owned points per slab, extra slabs cost more than they
 /// save (mirrors `psort::MIN_CHUNK` thinking at join granularity).
 const MIN_SLAB_POINTS: usize = 4096;
 
-/// Working sets smaller than this never take the mini-partition detour:
-/// a quadratic pass over a few hundred points is cheaper than a re-sort.
-const MINI_REFINE_MIN: usize = 512;
+/// Relative margin of the strip height over `r` (`h ≥ r·(1 + 2⁻¹⁶)`); see
+/// [`Strips`] for why it makes the strip test exact.
+const STRIP_MARGIN: f64 = 1.0 / 65536.0;
 
 /// Resolves a thread-count request: `0` means "auto" — the
 /// `SJPL_JOIN_THREADS` environment variable if set to a positive integer
@@ -80,8 +86,8 @@ fn effective_slabs(owned: usize, threads: usize) -> usize {
 struct SlabStats {
     /// Points read from neighboring slabs' boundary bands.
     band_points: u64,
-    /// Slabs that took the axis-1 mini-partition path.
-    mini_refinements: u64,
+    /// Distance evaluations: candidate pairs the strip sweep checked.
+    candidates: u64,
 }
 
 fn publish(slabs: usize, stats: &[SlabStats]) {
@@ -94,15 +100,201 @@ fn publish(slabs: usize, stats: &[SlabStats]) {
         stats.iter().map(|s| s.band_points).sum(),
     );
     sjpl_obs::counter_add(
-        "join.par_sweep.mini_refinements",
-        stats.iter().map(|s| s.mini_refinements).sum(),
+        "join.par_sweep.candidates",
+        stats.iter().map(|s| s.candidates).sum(),
     );
 }
 
-/// Is the working set degenerate along axis 0 — i.e. does its whole extent
-/// fit within `2r`, so the sliding window can prune (almost) nothing?
-fn axis0_degenerate<const D: usize>(span: f64, len: usize, r: f64) -> bool {
-    D >= 2 && len >= MINI_REFINE_MIN && span <= 2.0 * r
+/// Horizontal strips over axis 1: strip `k` holds the points whose
+/// `⌊(y − y0) / h⌋` (clamped to the last strip) is `k`.
+///
+/// *Exactness.* The strip index is monotone in `y`, and clamping only
+/// merges strips, so it is enough that two points within `r` never land
+/// two strips apart. With `ε = 2⁻⁵²`, their true axis-1 gap is at most
+/// `r·(1 + 4ε)`: the distance test computes `|Δy|` (or its power) with a
+/// few roundings at most (barring underflow of a squared gap, which the
+/// axis-0 break of every plane sweep assumes away too). The computed
+/// `t = (y − y0)·(1/h)` carries a relative error below `1.6ε` (two
+/// roundings and the rounded reciprocal), and `t ≤ n`, because
+/// `h ≥ extent / n`. Two points' `t` thus differ by at most
+/// `(1 + 4ε)/(1 + 2⁻¹⁶) + 3.2ε·n`. For any `n < 2³²` (indices are `u32`)
+/// that is below 1, so their floors differ by at most 1.
+///
+/// One strip covers everything, which is the plain plane sweep, when
+/// `D = 1`, when the `y`-extent is zero, or when `h` is not finite
+/// (`r = ∞`, or an extent that overflows).
+struct Strips {
+    y0: f64,
+    inv_h: f64,
+    count: usize,
+}
+
+impl Strips {
+    /// Strips of height `max(r·(1 + 2⁻¹⁶), extent / n)` over the `y`-range
+    /// of `sets` (`n` = their total size), so there are at most `n`.
+    fn over<const D: usize>(sets: &[&[Point<D>]], r: f64) -> Self {
+        let n: usize = sets.iter().map(|s| s.len()).sum();
+        assert!(
+            u32::try_from(n).is_ok(),
+            "a slab working set must index with u32"
+        );
+        let one = Strips {
+            y0: 0.0,
+            inv_h: 0.0,
+            count: 1,
+        };
+        if D < 2 {
+            return one;
+        }
+        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+        for p in sets.iter().flat_map(|s| s.iter()) {
+            lo = lo.min(p[1]);
+            hi = hi.max(p[1]);
+        }
+        let extent = hi - lo;
+        let h = (r * (1.0 + STRIP_MARGIN)).max(extent / n as f64);
+        let inv_h = 1.0 / h;
+        if !(extent > 0.0 && h.is_finite() && inv_h.is_finite()) {
+            return one;
+        }
+        // `extent * inv_h` is `of(hi)` before clamping: the top strip.
+        Strips {
+            y0: lo,
+            inv_h,
+            count: ((extent * inv_h) as usize).saturating_add(1).min(n),
+        }
+    }
+
+    /// The strip of axis-1 coordinate `y`.
+    #[inline]
+    fn of(&self, y: f64) -> usize {
+        (((y - self.y0) * self.inv_h) as usize).min(self.count - 1)
+    }
+
+    /// One stable counting pass: `(order, starts)` with strip `k` at
+    /// `order[starts[k]..starts[k + 1]]`, indices into `pts` ascending.
+    fn bucket<const D: usize>(&self, pts: &[Point<D>]) -> (Vec<u32>, Vec<u32>) {
+        if self.count == 1 {
+            // Also the 1-d case, which has no axis 1 to read.
+            return ((0..pts.len() as u32).collect(), vec![0, pts.len() as u32]);
+        }
+        let mut starts = vec![0u32; self.count + 1];
+        for p in pts {
+            starts[self.of(p[1]) + 1] += 1;
+        }
+        for k in 0..self.count {
+            starts[k + 1] += starts[k];
+        }
+        let mut next = starts.clone();
+        let mut order = vec![0u32; pts.len()];
+        for (i, p) in pts.iter().enumerate() {
+            let k = self.of(p[1]);
+            order[next[k] as usize] = i as u32;
+            next[k] += 1;
+        }
+        (order, starts)
+    }
+}
+
+/// The distance test both strip kernels run: `r` bounds the axis-0 scan,
+/// `thresh` is `r` in the metric's ranking space.
+#[derive(Clone, Copy)]
+struct Within {
+    r: f64,
+    thresh: f64,
+    metric: Metric,
+}
+
+impl Within {
+    fn new(r: f64, metric: Metric) -> Self {
+        Within {
+            r,
+            thresh: metric.rdist_threshold(r),
+            metric,
+        }
+    }
+}
+
+/// Strip `k` of a bucketing.
+fn strip<'a>(order: &'a [u32], starts: &[u32], k: usize) -> &'a [u32] {
+    &order[starts[k] as usize..starts[k + 1] as usize]
+}
+
+/// Self-join strip kernel: for every owned `i` (`i < owned`) in `src`,
+/// counts the `j > i` of `dst` within `r`, scanning `dst` forward along
+/// axis 0. Both strips list indices into `w` in ascending order, so with
+/// `src == dst` this is the plane sweep's forward kernel on one strip, and
+/// across two strips every pair is seen once, from its lower rank.
+fn forward_self<const D: usize>(
+    w: &[Point<D>],
+    src: &[u32],
+    dst: &[u32],
+    owned: u32,
+    within: Within,
+    candidates: &mut u64,
+) -> u64 {
+    let Within { r, thresh, metric } = within;
+    let mut count = 0u64;
+    let mut lo = 0usize;
+    for &i in src {
+        if i >= owned {
+            break; // the rest of `src` lies in the band: later slabs own it
+        }
+        while lo < dst.len() && dst[lo] <= i {
+            lo += 1;
+        }
+        let pi = &w[i as usize];
+        let x = pi[0];
+        let mut seen = 0u64;
+        for &j in &dst[lo..] {
+            let pj = &w[j as usize];
+            if pj[0] > x + r {
+                break;
+            }
+            seen += 1;
+            if metric.rdist(pi, pj) <= thresh {
+                count += 1;
+            }
+        }
+        *candidates += seen;
+    }
+    count
+}
+
+/// Cross-join strip kernel: counts `(a, b)` within `r` with `a` listed in
+/// `sa` and `b` in `sb`, the plane sweep's sliding `±r` window over the
+/// `b` strip.
+fn forward_cross<const D: usize>(
+    aw: &[Point<D>],
+    bw: &[Point<D>],
+    sa: &[u32],
+    sb: &[u32],
+    within: Within,
+    candidates: &mut u64,
+) -> u64 {
+    let Within { r, thresh, metric } = within;
+    let mut count = 0u64;
+    let mut lo = 0usize;
+    for &ia in sa {
+        let pa = &aw[ia as usize];
+        let x = pa[0];
+        while lo < sb.len() && bw[sb[lo] as usize][0] < x - r {
+            lo += 1;
+        }
+        let mut seen = 0u64;
+        for &ib in &sb[lo..] {
+            let pb = &bw[ib as usize];
+            if pb[0] > x + r {
+                break;
+            }
+            seen += 1;
+            if metric.rdist(pa, pb) <= thresh {
+                count += 1;
+            }
+        }
+        *candidates += seen;
+    }
+    count
 }
 
 /// One self-join slab: count pairs `{i, j}` (global sorted ranks, `i < j`)
@@ -123,39 +315,19 @@ fn slab_self<const D: usize>(
     let ext = ei + pts[ei..].partition_point(|p| p[0] <= hi_x);
     stats.band_points += (ext - ei) as u64;
     let w = &pts[si..ext];
-    let owned = ei - si;
-    if axis0_degenerate::<D>(w[w.len() - 1][0] - w[0][0], w.len(), r) {
-        stats.mini_refinements += 1;
-        mini_self(w, owned, r, metric)
-    } else {
-        forward_sweep_self(w, owned, 0, r, metric)
-    }
-}
-
-/// Skew refinement for a self-join slab: sweep the working set along
-/// axis 1. Ownership must survive the re-sort, so the sweep walks a rank
-/// permutation and counts a pair only when the *lower axis-0 rank* is in
-/// the owned prefix — the same dedup rule the axis-0 kernel enforces
-/// structurally.
-fn mini_self<const D: usize>(w: &[Point<D>], owned: usize, r: f64, metric: Metric) -> u64 {
-    let mut order: Vec<u32> = (0..w.len() as u32).collect();
-    order.sort_unstable_by(|&i, &j| w[i as usize][1].total_cmp(&w[j as usize][1]));
-    let thresh = metric.rdist_threshold(r);
+    let strips = Strips::over(&[w], r);
+    let owned = (ei - si) as u32; // fits: `over` checked `w.len()`
+    let (order, starts) = strips.bucket(w);
+    let within = Within::new(r, metric);
+    let cand = &mut stats.candidates;
     let mut count = 0u64;
-    for (pos, &ui) in order.iter().enumerate() {
-        let pu = &w[ui as usize];
-        let y = pu[1];
-        for &vi in &order[pos + 1..] {
-            let pv = &w[vi as usize];
-            if pv[1] > y + r {
-                break;
-            }
-            if ui.min(vi) as usize >= owned {
-                continue; // both ends in the band: a later slab owns this pair
-            }
-            if metric.rdist(pu, pv) <= thresh {
-                count += 1;
-            }
+    for k in 0..strips.count {
+        let here = strip(&order, &starts, k);
+        count += forward_self(w, here, here, owned, within, cand);
+        if k + 1 < strips.count {
+            let up = strip(&order, &starts, k + 1);
+            count += forward_self(w, here, up, owned, within, cand);
+            count += forward_self(w, up, here, owned, within, cand);
         }
     }
     count
@@ -185,17 +357,19 @@ fn slab_cross<const D: usize>(
         return 0;
     }
     stats.band_points += bw.len() as u64;
-    let span = (aw[aw.len() - 1][0].max(bw[bw.len() - 1][0])) - (aw[0][0].min(bw[0][0]));
-    if axis0_degenerate::<D>(span, aw.len() + bw.len(), r) {
-        stats.mini_refinements += 1;
-        // Ownership for cross joins is by a-point alone, so a plain re-sort
-        // of both windows along axis 1 needs no rank bookkeeping.
-        let ay = SortedByAxis::along(aw, 1);
-        let by = SortedByAxis::along(bw, 1);
-        forward_sweep_cross(ay.points(), by.points(), 1, r, metric)
-    } else {
-        forward_sweep_cross(aw, bw, 0, r, metric)
+    let strips = Strips::over(&[aw, bw], r);
+    let (a_order, a_starts) = strips.bucket(aw);
+    let (b_order, b_starts) = strips.bucket(bw);
+    let within = Within::new(r, metric);
+    let mut count = 0u64;
+    for k in 0..strips.count {
+        let sa = strip(&a_order, &a_starts, k);
+        for kb in k.saturating_sub(1)..(k + 2).min(strips.count) {
+            let sb = strip(&b_order, &b_starts, kb);
+            count += forward_cross(aw, bw, sa, sb, within, &mut stats.candidates);
+        }
     }
+    count
 }
 
 /// Shared fan-out: cut `owned_len` ranks into slabs, run `work` per slab on
@@ -417,19 +591,26 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_x_cluster_takes_the_mini_partition_path() {
-        // Every point shares x = 0.5: axis 0 prunes nothing, so a slab
-        // must refine along axis 1 — and stay exact.
-        let n = 2 * MINI_REFINE_MIN;
+    fn duplicate_x_cluster_stays_exact_and_strips_prune_it() {
+        // Every point shares x = 0.5: axis 0 prunes nothing, so only the
+        // strips keep the slab from going quadratic — and it must stay
+        // exact at every radius, up to one that swallows the whole set.
+        let n = 1024;
         let mut rng = StdRng::seed_from_u64(5);
         let a: Vec<Point<2>> = (0..n).map(|_| Point([0.5, rng.gen()])).collect();
-        for r in [0.001, 0.01, 0.2] {
+        let sorted = SortedByAxis::new(&a);
+        for r in [0.0, 0.001, 0.01, 0.2, 1.0] {
             let expect = nested_self(&a, r, Metric::L2);
-            let sorted = SortedByAxis::new(&a);
             let mut st = SlabStats::default();
             let got = slab_self(sorted.points(), 0, sorted.len(), r, Metric::L2, &mut st);
             assert_eq!(got, expect, "r {r}");
-            assert_eq!(st.mini_refinements, 1, "refinement should trigger at r {r}");
+            if r <= 0.01 {
+                assert!(
+                    st.candidates < (n * n / 20) as u64,
+                    "r {r}: {} candidates, the strips pruned nothing",
+                    st.candidates
+                );
+            }
         }
         // Public API agrees too.
         assert_eq!(
@@ -439,20 +620,48 @@ mod tests {
     }
 
     #[test]
-    fn mini_partition_ownership_splits_exactly() {
+    fn strip_ownership_splits_exactly() {
         // A degenerate-x working set split across two owners: the two
-        // mini sweeps must partition the pair set, never double count.
-        let n = 2 * MINI_REFINE_MIN;
+        // strip sweeps must partition the pair set, never double count.
+        let n = 1024;
         let mut rng = StdRng::seed_from_u64(6);
         let a: Vec<Point<2>> = (0..n).map(|_| Point([0.5, rng.gen()])).collect();
         let sorted = SortedByAxis::new(&a);
-        let r = 0.05;
-        let expect = nested_self(&a, r, Metric::Linf);
-        let mid = sorted.len() / 3;
-        let mut st = SlabStats::default();
-        let first = slab_self(sorted.points(), 0, mid, r, Metric::Linf, &mut st);
-        let second = slab_self(sorted.points(), mid, sorted.len(), r, Metric::Linf, &mut st);
-        assert_eq!(first + second, expect);
+        for r in [0.0005, 0.05] {
+            let expect = nested_self(&a, r, Metric::Linf);
+            for mid in [1, sorted.len() / 3, sorted.len() - 1] {
+                let mut st = SlabStats::default();
+                let first = slab_self(sorted.points(), 0, mid, r, Metric::Linf, &mut st);
+                let second =
+                    slab_self(sorted.points(), mid, sorted.len(), r, Metric::Linf, &mut st);
+                assert_eq!(first + second, expect, "r {r} split at {mid}");
+            }
+        }
+    }
+
+    #[test]
+    fn strip_geometry_edge_cases() {
+        let a = random_points::<2>(100, 10);
+        let flat: Vec<Point<2>> = a.iter().map(|p| Point([p[0], 0.25])).collect();
+        let line = random_points::<1>(100, 11);
+        // One strip: r = ∞, zero y-extent, 1-d input.
+        assert_eq!(Strips::over(&[&a], f64::INFINITY).count, 1);
+        assert_eq!(Strips::over(&[&flat], 0.01).count, 1);
+        assert_eq!(Strips::over(&[&line], 0.01).count, 1);
+        // r = 0 and tiny radii cap at the working-set size.
+        assert_eq!(Strips::over(&[&a], 0.0).count, a.len());
+        assert_eq!(Strips::over(&[&a, &a], 1e-12).count, 2 * a.len());
+        // A radius past the extent leaves one or two strips.
+        assert!(Strips::over(&[&a], 2.0).count <= 2);
+        // Every strip index is in range and the bucketing is stable.
+        let s = Strips::over(&[&a], 0.1);
+        let (order, starts) = s.bucket(&a);
+        assert_eq!(starts[s.count] as usize, a.len());
+        for k in 0..s.count {
+            let st = strip(&order, &starts, k);
+            assert!(st.windows(2).all(|w| w[0] < w[1]), "strip {k} not stable");
+            assert!(st.iter().all(|&i| s.of(a[i as usize][1]) == k));
+        }
     }
 
     #[test]

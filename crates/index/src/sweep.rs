@@ -10,11 +10,13 @@
 //!
 //! The module is split into two layers:
 //!
-//! * [`forward_sweep_cross`] / [`forward_sweep_self`] — the per-partition
-//!   forward-sweep **kernels**: they assume already-sorted input and are
-//!   parameterized by the sweep axis, so the partitioned parallel join
-//!   ([`crate::partition`]) can run them per slab (axis 0) or per
-//!   mini-partition (axis 1) without re-sorting logic of their own.
+//! * [`forward_sweep_cross`] / [`forward_sweep_self`] — the forward-sweep
+//!   **kernels**: they assume already-sorted input, are parameterized by
+//!   the sweep axis, and take an owned prefix for the self join. The
+//!   partitioned parallel join ([`crate::partition`]) runs the same
+//!   predicates over axis-1 strips of each slab but not these kernels, so
+//!   this module stays the independent serial reference it is checked
+//!   against.
 //! * [`sweep_join_count`] / [`sweep_self_join_count`] — the serial
 //!   public entry points: validate, sort, run the kernel over one
 //!   partition covering everything.

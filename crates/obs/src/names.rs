@@ -55,7 +55,7 @@ pub const COUNTERS: &[&str] = &[
     "index.node_visits",
     "index.pruned_pairs",
     "join.par_sweep.band_points",
-    "join.par_sweep.mini_refinements",
+    "join.par_sweep.candidates",
     "join.par_sweep.slabs",
     "prof.dropped_samples",
     "prof.overhead_ns",

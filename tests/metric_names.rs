@@ -137,6 +137,7 @@ fn pinned_names_are_still_emitted() {
         "fit.count",
         "index.node_visits",
         "join.par_sweep.slabs",
+        "join.par_sweep.candidates",
     ] {
         assert!(
             snap.counters.iter().any(|(n, _)| n == counter),
