@@ -101,8 +101,9 @@ options:
                        [default 0.2]
   --slo <spec>         serve: per-endpoint SLO, repeatable; latency clause
                        <dur>@<pNN> and/or error clause err<rate>, e.g.
-                       /estimate=2ms@p99,err<0.1%  — compliance, burn rate
-                       and breach counters appear on /metrics
+                       /estimate=2ms@p99,err<0.1%  — windowed compliance,
+                       burn rate and breach counters appear on /metrics,
+                       refreshed every --metrics-interval
   --access-log <file>  serve: append one JSON line per request (request id,
                        endpoint, status, duration, law)
   --slow-ms <ms>       serve: requests at least this slow are counted and
@@ -465,7 +466,7 @@ fn cmd_serve(o: &Options) -> Result<(), String> {
         println!("drift monitor: {n_probes} probe(s), every {interval:?}, error budget {budget}");
     }
     if n_slos > 0 {
-        println!("slo: {n_slos} objective(s), evaluated on every /metrics scrape");
+        println!("slo: {n_slos} objective(s), evaluated by their burn-rate rules");
     }
     if let Some(path) = access_log {
         println!("access log: appending JSONL to {}", path.display());

@@ -17,6 +17,7 @@ use std::net::SocketAddr;
 use std::time::Duration;
 
 use sjpl_obs::json::Json;
+use sjpl_serve::slo::STATUS_CLASSES;
 
 use crate::loadtest::fetch_body;
 
@@ -29,23 +30,6 @@ pub struct DashConfig {
     /// Frames to render before exiting; `None` = until interrupted.
     pub frames: Option<u64>,
 }
-
-/// The endpoint labels worth a dashboard row, in display order — the
-/// server's route table minus the debug endpoints (which show up anyway
-/// once they take traffic, via the `other`-safe skip of empty series).
-const ENDPOINTS: &[&str] = &[
-    "estimate",
-    "healthz",
-    "readyz",
-    "metrics",
-    "snapshot",
-    "timeline",
-    "alerts",
-    "query",
-    "profile",
-    "exemplars",
-    "other",
-];
 
 /// The window the per-endpoint rate/error queries aggregate over.
 const WINDOW: &str = "60s";
@@ -118,13 +102,13 @@ fn query(addr: SocketAddr, expr: &str) -> Option<(f64, Vec<(u64, f64)>)> {
 /// Fetches one frame's worth of state from the daemon.
 fn fetch_frame(addr: SocketAddr) -> Result<Frame, String> {
     let mut endpoints = Vec::new();
-    for &label in ENDPOINTS {
+    for label in sjpl_serve::endpoint_labels() {
         // Sum the status classes: one counter series per endpoint × class.
         let mut rps = 0.0;
         let mut err_rps = 0.0;
         let mut counts: Option<Vec<(u64, f64)>> = None;
         let mut seen = false;
-        for class in ["2xx", "3xx", "4xx", "5xx"] {
+        for &class in STATUS_CLASSES {
             let expr = format!("rate(serve.endpoint.{label}.{class}.count[{WINDOW}])");
             let Some((v, samples)) = query(addr, &expr) else {
                 continue;

@@ -769,7 +769,8 @@ fn render_report(
          \"addr\": \"{addr}\",\n    \"duration_s\": {dur:.3},\n    \
          \"connections\": {conns},\n    \"rate\": {rate},\n    \"seed\": {seed},\n    \
          \"mix\": \"{mix}\",\n    \"law\": \"{law}\",\n    \
-         \"retries\": {retries},\n    \"chaos\": {chaos}\n  }},\n  \
+         \"retries\": {retries},\n    \"chaos\": {chaos},\n    \
+         \"host_cores\": {host_cores}\n  }},\n  \
          \"summary\": {{\"schema\": 1, \"series\": [\n{series}\n  ]}},\n  \
          \"throughput\": [\n{throughput}\n  ],\n  \
          \"error_rates\": [\n{error_rates}\n  ],\n  \
@@ -791,6 +792,7 @@ fn render_report(
         law = cfg.law,
         retries = cfg.retries,
         chaos = cfg.chaos,
+        host_cores = std::thread::available_parallelism().map_or(1, |n| n.get()),
         rretries = resilience.retries,
         shed = resilience.shed_responses,
         shed_bare = resilience.shed_missing_retry_after,
@@ -955,6 +957,8 @@ mod tests {
             doc.get("meta").unwrap().get("mix").unwrap().as_str(),
             Some("estimate=8,healthz=1,metrics=1")
         );
+        let cores = doc.get("meta").unwrap().get("host_cores").unwrap();
+        assert!(cores.as_f64().unwrap() >= 1.0, "{text}");
         // The resilience section the chaos CI job asserts on.
         let res = doc.get("resilience").unwrap();
         assert_eq!(res.get("retries").unwrap().as_f64(), Some(7.0));

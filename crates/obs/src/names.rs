@@ -114,15 +114,15 @@ pub const EVENTS: &[&str] = &[
 /// followed by a catalog law name (e.g. `serve.drift.rel_error.uniform`),
 /// an endpoint label plus status class (`serve.endpoint.estimate.2xx`), an
 /// SLO endpoint label (`serve.slo.compliance.estimate`), a shed/deadline
-/// endpoint label (`serve.shed.snapshot`, `serve.deadline.estimate`), or a
+/// endpoint label (`serve.shed.snapshot`, `serve.deadline.estimate`), a
 /// fault-rule scope and kind (`serve.faults.accept.reset`), or an alert
-/// rule name (`alert.state.slo-estimate`,
-/// `alert.transitions.slo-estimate`). Endpoint
-/// labels come from the fixed route table (`estimate`, `metrics`,
-/// `snapshot`, `timeline`, `healthz`, `readyz`, `profile`, `exemplars`,
-/// `other`) — never from raw client paths, which would be a
-/// cardinality/injection hazard; fault scopes/kinds come from the fault
-/// plan grammar's fixed vocabulary.
+/// rule name (`alert.state.slo-burn-estimate`,
+/// `alert.transitions.slo-burn-estimate`). Endpoint labels come from
+/// sjpl-serve's fixed route table (`estimate`, `healthz`, `readyz`,
+/// `metrics`, `snapshot`, `timeline`, `alerts`, `query`, `profile`,
+/// `exemplars`, plus `other`) — never from raw client paths, which would
+/// be a cardinality/injection hazard; fault scopes/kinds come from the
+/// fault plan grammar's fixed vocabulary.
 pub const DYNAMIC_PREFIXES: &[&str] = &[
     "alert.state.",
     "alert.transitions.",

@@ -155,28 +155,6 @@ impl Snapshot {
         self
     }
 
-    /// Sets a gauge in this snapshot (inserted in name order when new), so
-    /// a value published to the recorder after the read can also land in
-    /// the output rendered from it.
-    pub fn set_gauge(&mut self, name: &str, v: f64) {
-        match self.gauges.binary_search_by(|(n, _)| n.as_str().cmp(name)) {
-            Ok(i) => self.gauges[i].1 = v,
-            Err(i) => self.gauges.insert(i, (name.to_owned(), v)),
-        }
-    }
-
-    /// Adds `n` to a counter in this snapshot (inserted at `n` in name
-    /// order when new); the counter counterpart of [`Snapshot::set_gauge`].
-    pub fn add_counter(&mut self, name: &str, n: u64) {
-        match self
-            .counters
-            .binary_search_by(|(c, _)| c.as_str().cmp(name))
-        {
-            Ok(i) => self.counters[i].1 += n,
-            Err(i) => self.counters.insert(i, (name.to_owned(), n)),
-        }
-    }
-
     /// Looks up a span snapshot by name.
     pub fn span(&self, name: &str) -> Option<&TimingSnapshot> {
         self.spans.iter().find(|s| s.name == name)

@@ -62,6 +62,8 @@ struct Inner {
     series: BTreeMap<String, Series>,
     /// Previous scrape's cumulative span histograms, for window quantiles.
     prev_hists: HashMap<String, LogLinearHistogram>,
+    /// Timestamp of the previous [`Tsdb::ingest`].
+    prev_ingest_ms: Option<u64>,
     scrapes: u64,
     evicted: u64,
 }
@@ -238,6 +240,7 @@ impl Tsdb {
                 capacity: capacity.max(2),
                 series: BTreeMap::new(),
                 prev_hists: HashMap::new(),
+                prev_ingest_ms: None,
                 scrapes: 0,
                 evicted: 0,
             }),
@@ -248,24 +251,29 @@ impl Tsdb {
     /// evicting the oldest sample when the ring is full.
     pub fn push(&self, name: &str, kind: SeriesKind, ts_ms: u64, value: f64) {
         let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        inner.push(name, kind, ts_ms, value);
+        inner.push(name, kind, ts_ms, value, None);
     }
 
     /// Scrapes one recorder snapshot into the store at time `ts_ms`:
     /// counters as monotonic samples, gauges as points, span histograms as
     /// a `.count` series plus per-window `.p50_ns`/`.p99_ns` quantile
     /// points (skipped for scrapes where the span saw no new samples).
+    /// The recorder creates a counter on its first increment, so a counter
+    /// series that is new after an earlier scrape starts with a 0 sample
+    /// at that scrape: window increases then count its first value.
     pub fn ingest(&self, snap: &Snapshot, ts_ms: u64) {
         let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
+        let seed = inner.prev_ingest_ms.replace(ts_ms);
         for (name, value) in &snap.counters {
-            inner.push(name, SeriesKind::Counter, ts_ms, *value as f64);
+            inner.push(name, SeriesKind::Counter, ts_ms, *value as f64, seed);
         }
         for (name, value) in &snap.gauges {
-            inner.push(name, SeriesKind::Gauge, ts_ms, *value);
+            inner.push(name, SeriesKind::Gauge, ts_ms, *value, None);
         }
         for span in &snap.spans {
             let count_name = format!("{}.count", span.name);
-            inner.push(&count_name, SeriesKind::Counter, ts_ms, span.count as f64);
+            let count = span.count as f64;
+            inner.push(&count_name, SeriesKind::Counter, ts_ms, count, seed);
             let window = match inner.prev_hists.get(&span.name) {
                 Some(prev) => span.hist.diff(prev),
                 None => span.hist.clone(),
@@ -278,12 +286,14 @@ impl Tsdb {
                     SeriesKind::Gauge,
                     ts_ms,
                     p50,
+                    None,
                 );
                 inner.push(
                     &format!("{}.p99_ns", span.name),
                     SeriesKind::Gauge,
                     ts_ms,
                     p99,
+                    None,
                 );
             }
             inner
@@ -412,16 +422,25 @@ impl Tsdb {
 }
 
 impl Inner {
-    fn push(&mut self, name: &str, kind: SeriesKind, ts_ms: u64, value: f64) {
+    /// Appends one sample; a series this creates first gets a 0 sample at
+    /// `seed_ms`, when given.
+    fn push(&mut self, name: &str, kind: SeriesKind, ts_ms: u64, value: f64, seed_ms: Option<u64>) {
         let capacity = self.capacity;
         let series = match self.series.get_mut(name) {
             Some(s) => s,
             None => {
+                let mut samples = VecDeque::with_capacity(capacity.min(64));
+                if let Some(t) = seed_ms {
+                    samples.push_back(Sample {
+                        ts_ms: t,
+                        value: 0.0,
+                    });
+                }
                 self.series.insert(
                     name.to_owned(),
                     Series {
                         kind,
-                        samples: VecDeque::with_capacity(capacity.min(64)),
+                        samples,
                         evicted: 0,
                     },
                 );
@@ -639,6 +658,32 @@ mod tests {
             .unwrap();
         assert!(p50.value >= 1_000_000.0, "window p50={}", p50.value);
         assert_eq!(tsdb.stats().scrapes, 2);
+    }
+
+    #[test]
+    fn a_counter_new_after_the_first_scrape_counts_its_first_value() {
+        let snap = |errors: u64| Snapshot {
+            counters: vec![("serve.errors".into(), errors)],
+            ..Snapshot::default()
+        };
+        let tsdb = Tsdb::new(16);
+        tsdb.ingest(&Snapshot::default(), 1_000);
+        // Twenty errors land between the first and second scrape.
+        tsdb.ingest(&snap(20), 2_000);
+        tsdb.ingest(&snap(20), 3_000);
+        let inc = tsdb
+            .query(&QueryExpr::Increase("serve.errors".into(), 60_000), 3_000)
+            .unwrap();
+        assert_eq!(inc.value, 20.0);
+        assert_eq!(inc.samples[0], (1_000, 0.0));
+        // A counter already there at the first scrape is its own baseline.
+        let tsdb = Tsdb::new(16);
+        tsdb.ingest(&snap(5), 1_000);
+        tsdb.ingest(&snap(7), 2_000);
+        let inc = tsdb
+            .query(&QueryExpr::Increase("serve.errors".into(), 60_000), 2_000)
+            .unwrap();
+        assert_eq!(inc.value, 2.0);
     }
 
     #[test]

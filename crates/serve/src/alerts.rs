@@ -19,15 +19,18 @@
 //! Three rule sources:
 //! * **Declarative** (`--alert 'name: expr op threshold for 30s'`): any
 //!   [`QueryExpr`] compared against a constant, with an optional hold.
-//! * **SLO burn rate** (built-in, one per `--slo`): the multi-window rule.
-//!   The scraper maintains two synthetic cumulative series per SLO
-//!   endpoint — `serve.slo.good.<ep>` (responses meeting the target) and
-//!   `serve.slo.total.<ep>` — and the rule fires only when the error
-//!   budget burns faster than 1× in *both* a fast and a slow window
-//!   (4× / 16× the scrape interval — the 5m/1h pair scaled to test time).
-//!   The short window makes firing prompt; the long window keeps one
-//!   spike from paging; requiring both makes resolution automatic once
-//!   traffic is healthy again.
+//! * **SLO burn rate** (built-in, one per `--slo`): the multi-window rule,
+//!   and the only SLO evaluation. The scraper maintains two synthetic
+//!   cumulative series per SLO endpoint — `serve.slo.good.<ep>` and
+//!   `serve.slo.total.<ep>` ([`SloSpec::good_total`]) — and the TSDB
+//!   already ingests the endpoint's `serve.endpoint.<ep>.5xx.count`. The
+//!   rule applies [`SloSpec::burn`] to their increase over a fast and a
+//!   slow window (4× / 16× the scrape interval — the 5m/1h pair scaled to
+//!   test time) and fires only when the budget burns faster than 1× in
+//!   *both*. The short window makes firing prompt; the long window keeps
+//!   one spike from paging; requiring both makes resolution automatic once
+//!   traffic is healthy again. Each tick it also publishes the windowed
+//!   `serve.slo.*` gauges and breach counters (see [`crate::slo`]).
 //! * **Drift breach** (built-in, one per drift-probed law): fires while
 //!   `max(serve.drift.breached.<law>[window]) >= 1`.
 
@@ -94,10 +97,8 @@ pub enum AlertCondition {
     /// The built-in multi-window SLO burn-rate condition: true when the
     /// budget burn exceeds 1× in both the fast and the slow window.
     BurnRate {
-        /// SLO endpoint label (suffix of the synthetic series).
-        endpoint: String,
-        /// Error budget as a fraction of requests (e.g. `1 − p99` = 0.01).
-        budget: f64,
+        /// The SLO whose budget burns.
+        spec: SloSpec,
         /// Fast window, milliseconds.
         fast_ms: u64,
         /// Slow window, milliseconds.
@@ -219,24 +220,16 @@ impl AlertRule {
     /// scaled from the scrape interval (fast = 4×, slow = 16×, hold = 2×).
     pub fn burn_rate(spec: &SloSpec, interval_ms: u64) -> AlertRule {
         let interval_ms = interval_ms.max(1);
-        // Budget: the latency quantile's violation allowance when a latency
-        // clause exists, else the error-rate budget.
-        let budget = if spec.latency_ns.is_some() {
-            (1.0 - spec.quantile).max(1e-9)
-        } else {
-            spec.max_error_rate.unwrap_or(0.01).max(1e-9)
-        };
         let fast_ms = interval_ms * 4;
         let slow_ms = interval_ms * 16;
         AlertRule {
             name: format!("slo-burn-{}", spec.endpoint),
             expr_text: format!(
-                "burn_rate({}; budget {:.4}; windows {}ms/{}ms) > 1",
-                spec.endpoint, budget, fast_ms, slow_ms
+                "burn_rate({}; windows {}ms/{}ms) > 1",
+                spec.endpoint, fast_ms, slow_ms
             ),
             condition: AlertCondition::BurnRate {
-                endpoint: spec.endpoint.clone(),
-                budget,
+                spec: spec.clone(),
                 fast_ms,
                 slow_ms,
             },
@@ -263,8 +256,9 @@ impl AlertRule {
         }
     }
 
-    /// Evaluates the condition: `(current value, does it hold?)`.
-    fn probe(&self, tsdb: &Tsdb, now_ms: u64) -> (f64, bool) {
+    /// Evaluates the condition: `(current value, does it hold?, slow-window
+    /// SLO compliance)`; the compliance is `Some` for burn-rate rules only.
+    fn probe(&self, tsdb: &Tsdb, now_ms: u64) -> (f64, bool, Option<f64>) {
         match &self.condition {
             AlertCondition::Threshold {
                 expr,
@@ -272,32 +266,30 @@ impl AlertRule {
                 threshold,
             } => {
                 let value = tsdb.query(expr, now_ms).map_or(0.0, |r| r.value);
-                (value, op.holds(value, *threshold))
+                (value, op.holds(value, *threshold), None)
             }
             AlertCondition::BurnRate {
-                endpoint,
-                budget,
+                spec,
                 fast_ms,
                 slow_ms,
             } => {
-                let good = format!("{SLO_GOOD_PREFIX}{endpoint}");
-                let total = format!("{SLO_TOTAL_PREFIX}{endpoint}");
-                let burn = |window_ms: u64| -> f64 {
-                    let g = tsdb
-                        .query(&QueryExpr::Increase(good.clone(), window_ms), now_ms)
-                        .map_or(0.0, |r| r.value);
-                    let t = tsdb
-                        .query(&QueryExpr::Increase(total.clone(), window_ms), now_ms)
-                        .map_or(0.0, |r| r.value);
-                    if t <= 0.0 {
-                        return 0.0;
-                    }
-                    (1.0 - (g / t).clamp(0.0, 1.0)) / budget
+                let ep = &spec.endpoint;
+                let increase = |series: String, window_ms: u64| {
+                    tsdb.query(&QueryExpr::Increase(series, window_ms), now_ms)
+                        .map_or(0.0, |r| r.value)
                 };
-                let fast = burn(*fast_ms);
-                let slow = burn(*slow_ms);
+                // (burn, good, total) over one window.
+                let window = |window_ms: u64| {
+                    let good = increase(format!("{SLO_GOOD_PREFIX}{ep}"), window_ms);
+                    let total = increase(format!("{SLO_TOTAL_PREFIX}{ep}"), window_ms);
+                    let errors = increase(format!("serve.endpoint.{ep}.5xx.count"), window_ms);
+                    (spec.burn(good, errors, total), good, total)
+                };
+                let (fast, ..) = window(*fast_ms);
+                let (slow, good, total) = window(*slow_ms);
+                let compliance = if total > 0.0 { good / total } else { 1.0 };
                 // Both windows must burn: report the gating (smaller) one.
-                (fast.min(slow), fast > 1.0 && slow > 1.0)
+                (fast.min(slow), fast > 1.0 && slow > 1.0, Some(compliance))
             }
         }
     }
@@ -360,13 +352,15 @@ impl AlertEngine {
         let (mut firing, mut pending) = (0u64, 0u64);
         for a in alerts.iter_mut() {
             sjpl_obs::counter_add("alert.evaluations", 1);
-            let (value, holds) = a.rule.probe(tsdb, now_ms);
+            let (value, holds, compliance) = a.rule.probe(tsdb, now_ms);
             a.value = value;
+            let mut entered_pending = false;
             if holds {
                 match a.state {
                     AlertState::Inactive | AlertState::Resolved => {
                         a.pending_since_ms = now_ms;
                         a.transition(AlertState::Pending, now_ms);
+                        entered_pending = true;
                     }
                     AlertState::Pending | AlertState::Firing => {}
                 }
@@ -384,12 +378,28 @@ impl AlertEngine {
                     AlertState::Inactive | AlertState::Resolved => {}
                 }
             }
+            let active = matches!(a.state, AlertState::Pending | AlertState::Firing);
             match a.state {
                 AlertState::Firing => firing += 1,
                 AlertState::Pending => pending += 1,
                 _ => {}
             }
             sjpl_obs::gauge_set_named(format!("alert.state.{}", a.rule.name), a.state.as_gauge());
+            if let (AlertCondition::BurnRate { spec, .. }, Some(compliance)) =
+                (&a.rule.condition, compliance)
+            {
+                let ep = &spec.endpoint;
+                sjpl_obs::gauge_set_named(format!("serve.slo.compliance.{ep}"), compliance);
+                sjpl_obs::gauge_set_named(format!("serve.slo.burn_rate.{ep}"), value);
+                sjpl_obs::gauge_set_named(
+                    format!("serve.slo.breached.{ep}"),
+                    if active { 1.0 } else { 0.0 },
+                );
+                if entered_pending {
+                    sjpl_obs::counter_add("serve.slo.breaches", 1);
+                    sjpl_obs::counter_add_named(format!("serve.slo.breaches.{ep}"), 1);
+                }
+            }
         }
         sjpl_obs::gauge_set("alert.firing", firing as f64);
         sjpl_obs::gauge_set("alert.pending", pending as f64);
@@ -629,6 +639,98 @@ mod tests {
         // Traffic stops entirely: empty windows burn 0 → resolved.
         engine.evaluate(&tsdb, 60_000);
         assert_eq!(engine.snapshots()[0].state, "resolved");
+    }
+
+    /// Pushes one scrape's cumulative SLO counters for `ep` at `t_ms`.
+    fn push_slo(tsdb: &Tsdb, ep: &str, t_ms: u64, good: f64, errors: f64, total: f64) {
+        tsdb.push(
+            &format!("{SLO_GOOD_PREFIX}{ep}"),
+            SeriesKind::Counter,
+            t_ms,
+            good,
+        );
+        tsdb.push(
+            &format!("{SLO_TOTAL_PREFIX}{ep}"),
+            SeriesKind::Counter,
+            t_ms,
+            total,
+        );
+        let errors_series = format!("serve.endpoint.{ep}.5xx.count");
+        tsdb.push(&errors_series, SeriesKind::Counter, t_ms, errors);
+    }
+
+    #[test]
+    fn fast_errors_burn_the_error_budget_not_the_latency_budget() {
+        sjpl_obs::set_enabled(true);
+        // No other test here uses the query endpoint.
+        let spec = SloSpec::parse("/query=1s@p99,err<10%").unwrap();
+        for (errors_per_tick, burn, state, breached) in
+            [(5.0, 0.5, "inactive", 0.0), (20.0, 2.0, "firing", 1.0)]
+        {
+            let engine = AlertEngine::new(vec![AlertRule::burn_rate(&spec, 1_000)]);
+            let tsdb = Tsdb::new(64);
+            // 100 fast requests per tick, `errors_per_tick` of them 5xx.
+            for t in 0..20u64 {
+                let n = (t + 1) as f64;
+                push_slo(
+                    &tsdb,
+                    "query",
+                    t * 1_000,
+                    100.0 * n,
+                    errors_per_tick * n,
+                    100.0 * n,
+                );
+                engine.evaluate(&tsdb, t * 1_000);
+            }
+            let s = &engine.snapshots()[0];
+            assert_eq!(s.state, state);
+            assert!((s.value - burn).abs() < 1e-9, "burn {}", s.value);
+            let snap = sjpl_obs::snapshot();
+            assert_eq!(snap.gauge("serve.slo.breached.query"), Some(breached));
+            assert_eq!(snap.gauge("serve.slo.burn_rate.query"), Some(s.value));
+            assert_eq!(snap.gauge("serve.slo.compliance.query"), Some(1.0));
+        }
+    }
+
+    #[test]
+    fn breached_gauge_returns_to_zero_after_recovery() {
+        sjpl_obs::set_enabled(true);
+        // No other test here uses the exemplars endpoint.
+        let spec = SloSpec::parse("/exemplars=10ms@p99").unwrap();
+        let engine = AlertEngine::new(vec![AlertRule::burn_rate(&spec, 1_000)]);
+        let tsdb = Tsdb::new(64);
+        let breached = || sjpl_obs::snapshot().gauge("serve.slo.breached.exemplars");
+        let (mut good, mut total) = (0.0, 0.0);
+        // Healthy, then a planted breach: every request misses the target.
+        for t in 0..14u64 {
+            total += 10.0;
+            if t < 8 {
+                good += 10.0;
+            }
+            push_slo(&tsdb, "exemplars", t * 1_000, good, 0.0, total);
+            engine.evaluate(&tsdb, t * 1_000);
+        }
+        assert_eq!(engine.snapshots()[0].state, "firing");
+        assert_eq!(breached(), Some(1.0));
+
+        // Healthy traffic again: the gauge clears within the slow window.
+        let mut cleared_at = None;
+        for t in 14..14 + 16u64 {
+            good += 10.0;
+            total += 10.0;
+            push_slo(&tsdb, "exemplars", t * 1_000, good, 0.0, total);
+            engine.evaluate(&tsdb, t * 1_000);
+            if breached() == Some(0.0) {
+                cleared_at = Some(t);
+                break;
+            }
+        }
+        assert!(cleared_at.is_some(), "breached never returned to 0");
+        assert_eq!(engine.snapshots()[0].state, "resolved");
+        let snap = sjpl_obs::snapshot();
+        assert!(snap.gauge("serve.slo.compliance.exemplars").unwrap() < 1.0);
+        // One episode, one entry into pending.
+        assert_eq!(snap.counter("serve.slo.breaches.exemplars"), Some(1));
     }
 
     #[test]

@@ -20,6 +20,8 @@ use std::fmt;
 use std::sync::Mutex;
 use std::time::Duration;
 
+use crate::server::endpoint_labels;
+
 /// Where in the request lifecycle a fault rule applies.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Stage {
@@ -139,9 +141,8 @@ impl FaultPlan {
     /// Parses a comma-separated plan. Each rule is
     /// `<scope>:<kind>[=<value>]@<probability>` where `<scope>` is a
     /// lifecycle stage (`accept`, `read`, `handle`, `write`) or an
-    /// endpoint label (`estimate`, `metrics`, `snapshot`, `timeline`,
-    /// `healthz`, `readyz`, `profile`, `exemplars`, `other`) meaning
-    /// "handle stage, that endpoint only". Kinds: `latency=<dur>` (`us`,
+    /// endpoint label ([`crate::endpoint_labels`]) meaning "handle stage,
+    /// that endpoint only". Kinds: `latency=<dur>` (`us`,
     /// `ms` or `s` suffix; any stage), `reset` (any stage), `torn` (write
     /// stage only), `panic` (handle stage only). Each rule draws from its
     /// own PRNG seeded from `seed` and the rule's index, so reordering
@@ -193,7 +194,7 @@ impl FaultPlan {
                 "read" => (Stage::Read, None),
                 "handle" => (Stage::Handle, None),
                 "write" => (Stage::Write, None),
-                ep if ENDPOINTS.contains(&ep) => (Stage::Handle, Some(ep.to_owned())),
+                ep if endpoint_labels().any(|l| l == ep) => (Stage::Handle, Some(ep.to_owned())),
                 other => {
                     return Err(format!(
                         "fault rule {raw:?}: unknown scope {other:?} (stage or endpoint label)"
@@ -292,20 +293,6 @@ impl fmt::Display for FaultPlan {
         Ok(())
     }
 }
-
-/// The fixed endpoint labels a handle-stage rule may scope to — mirrors
-/// the server's route table.
-const ENDPOINTS: &[&str] = &[
-    "estimate",
-    "metrics",
-    "snapshot",
-    "timeline",
-    "healthz",
-    "readyz",
-    "profile",
-    "exemplars",
-    "other",
-];
 
 /// Parses `50ms`, `2s`, `250us` (integer or decimal magnitude).
 fn parse_duration(s: &str) -> Result<Duration, String> {

@@ -43,10 +43,12 @@
 //! ## SLOs
 //!
 //! Declarative per-endpoint SLOs ([`slo::SloSpec`], CLI syntax
-//! `/estimate=2ms@p99,err<0.1%`) are evaluated against the live
-//! histograms on each `/metrics` scrape, publishing
+//! `/estimate=2ms@p99,err<0.1%`) are evaluated in one place: each gets a
+//! built-in multi-window burn-rate alert rule, which once per
+//! [`ServeConfig::metrics_interval`] publishes windowed
 //! `serve.slo.compliance.<endpoint>`, `serve.slo.burn_rate.<endpoint>`,
-//! `serve.slo.breached.<endpoint>` gauges and breach-transition counters.
+//! `serve.slo.breached.<endpoint>` gauges and breach counters. Endpoint
+//! labels come from one route table ([`endpoint_labels`]).
 //!
 //! ## Telemetry pipeline
 //!
@@ -60,8 +62,8 @@
 //! `ALERTS{alertname,state}` series on `/metrics`, and in the `/snapshot`
 //! `alerts` section. `sjpl dash` is the human consumer. A tick and a
 //! `/metrics` scrape each take one aggregate recorder read (no timeline
-//! events) and evaluate the SLOs on it; only `/snapshot` and `/timeline`
-//! copy the flight-recorder ring.
+//! events); only `/snapshot` and `/timeline` copy the flight-recorder
+//! ring.
 //!
 //! ## Drift monitoring
 //!
@@ -112,5 +114,5 @@ pub mod slo;
 pub use alerts::{AlertEngine, AlertRule};
 pub use drift::{DriftConfig, DriftMonitor, DriftProbe};
 pub use fault::FaultPlan;
-pub use server::{ServeConfig, Server};
+pub use server::{endpoint_labels, ServeConfig, Server};
 pub use slo::SloSpec;

@@ -10,8 +10,8 @@
 //! flight-recorder timeline (`serve.slow_request`) and counted, and every
 //! request can be appended to a JSONL access log
 //! ([`ServeConfig::access_log`]). Per-endpoint SLOs
-//! ([`ServeConfig::slos`]) are evaluated against those histograms on each
-//! `/metrics` scrape.
+//! ([`ServeConfig::slos`]) are evaluated over windows of those histograms'
+//! counts by their burn-rate alert rules on each scraper tick.
 //!
 //! The tail of every per-endpoint histogram also remembers *which* request
 //! landed there: the highest-latency occupied buckets each keep the most
@@ -65,7 +65,7 @@ use crate::alerts::{AlertEngine, AlertRule, SLO_GOOD_PREFIX, SLO_TOTAL_PREFIX};
 use crate::drift::{DriftConfig, DriftMonitor, DriftProbe};
 use crate::fault::{FaultKind, FaultPlan, Stage as FaultStage};
 use crate::http::{read_request, Request, Response};
-use crate::slo::{SloSpec, STATUS_CLASSES};
+use crate::slo::SloSpec;
 
 /// Default socket timeout while actually parsing/writing a request
 /// ([`ServeConfig::io_timeout`]): a stalled peer must not pin a worker.
@@ -93,7 +93,9 @@ pub struct ServeConfig {
     pub probes: Vec<DriftProbe>,
     /// Drift-monitor tuning.
     pub drift: DriftConfig,
-    /// Per-endpoint SLOs, evaluated on every `/metrics` scrape.
+    /// Per-endpoint SLOs. Each gets a built-in burn-rate alert rule, which
+    /// publishes the windowed `serve.slo.*` gauges once per
+    /// [`ServeConfig::metrics_interval`].
     pub slos: Vec<SloSpec>,
     /// JSONL access log path (appended; one object per request).
     pub access_log: Option<PathBuf>,
@@ -467,7 +469,6 @@ struct Shared {
     inflight: LiveGauge,
     connections: LiveGauge,
     slos: Vec<SloSpec>,
-    slo_breached: Mutex<HashMap<String, bool>>,
     access_log: Option<Mutex<File>>,
     slow_ns: u64,
     /// series name → inclusive `le` bucket bound → most recent exemplar.
@@ -532,7 +533,6 @@ impl Server {
             inflight: LiveGauge::new("serve.inflight"),
             connections: LiveGauge::new("serve.connections"),
             slos: cfg.slos,
-            slo_breached: Mutex::new(HashMap::new()),
             access_log,
             slow_ns: cfg.slow_ns,
             exemplars: Mutex::new(HashMap::new()),
@@ -717,16 +717,16 @@ impl Drop for Scraper {
     }
 }
 
-/// One scrape: one recorder read (uptime gauge set first, SLO gauges
-/// evaluated on the read itself) → TSDB, synthetic SLO series, alert
-/// evaluation, and `tsdb.*` accounting (counters are published as deltas
-/// against `prev` so they stay monotonic).
+/// One scrape: one recorder read (uptime gauge set first) → TSDB,
+/// synthetic SLO series, alert evaluation (which publishes the windowed
+/// `serve.slo.*` values), and `tsdb.*` accounting (counters are published
+/// as deltas against `prev` so they stay monotonic).
 fn scrape_tick(shared: &Shared, prev: &mut TsdbStats) {
     let now = now_ms();
     let snap = scrape_snapshot(shared);
     shared.tsdb.ingest(&snap, now);
     for spec in &shared.slos {
-        let (good, total) = slo_good_total(spec, &snap);
+        let (good, total) = spec.good_total(&snap);
         shared.tsdb.push(
             &format!("{SLO_GOOD_PREFIX}{}", spec.endpoint),
             SeriesKind::Counter,
@@ -753,27 +753,6 @@ fn scrape_tick(shared: &Shared, prev: &mut TsdbStats) {
     sjpl_obs::counter_add("tsdb.evicted", stats.evicted.saturating_sub(prev.evicted));
     sjpl_obs::gauge_set("tsdb.series", stats.series as f64);
     *prev = stats;
-}
-
-/// The cumulative `(good, total)` request counts behind one SLO's
-/// burn-rate series: `total` sums every per-endpoint × status-class
-/// histogram, `good` counts non-5xx responses at or under the latency
-/// target (every non-5xx response when the SLO has no latency clause).
-/// Both are monotone — computed from cumulative histograms, so the
-/// scraper can push them as counter samples without diffing.
-fn slo_good_total(spec: &SloSpec, snap: &Snapshot) -> (u64, u64) {
-    let target = spec.latency_ns.unwrap_or(u64::MAX);
-    let (mut good, mut total) = (0u64, 0u64);
-    for class in STATUS_CLASSES {
-        let Some(s) = snap.span(&format!("serve.endpoint.{}.{class}", spec.endpoint)) else {
-            continue;
-        };
-        total += s.count;
-        if *class != "5xx" {
-            good += s.hist.count_le(target).min(s.count);
-        }
-    }
-    (good, total)
 }
 
 fn worker_loop(listener: TcpListener, shared: Arc<Shared>) {
@@ -1172,23 +1151,35 @@ fn query_param<'a>(query: Option<&'a str>, key: &str) -> Option<&'a str> {
     })
 }
 
-/// The fixed endpoint label a path is bucketed under for metrics — never
-/// the raw client path, which would be unbounded-cardinality (and an
-/// injection vector into metric names).
+/// The route table: every served path and the fixed endpoint label its
+/// metrics, SLOs and fault scopes use. Every other path is labelled
+/// `other`. Labels, never raw client paths, name metrics: a client path
+/// would be unbounded-cardinality (and an injection vector into metric
+/// names).
+const ROUTES: &[(&str, &str)] = &[
+    ("/estimate", "estimate"),
+    ("/healthz", "healthz"),
+    ("/readyz", "readyz"),
+    ("/metrics", "metrics"),
+    ("/snapshot", "snapshot"),
+    ("/timeline", "timeline"),
+    ("/alerts", "alerts"),
+    ("/query", "query"),
+    ("/debug/profile", "profile"),
+    ("/debug/exemplars", "exemplars"),
+];
+
+/// Every endpoint label: the route table's, in table order, then `other`.
+pub fn endpoint_labels() -> impl Iterator<Item = &'static str> {
+    ROUTES.iter().map(|&(_, label)| label).chain(["other"])
+}
+
+/// The endpoint label a path is bucketed under.
 fn endpoint_label(path: &str) -> &'static str {
-    match path {
-        "/estimate" => "estimate",
-        "/metrics" => "metrics",
-        "/snapshot" => "snapshot",
-        "/timeline" => "timeline",
-        "/healthz" => "healthz",
-        "/readyz" => "readyz",
-        "/alerts" => "alerts",
-        "/query" => "query",
-        "/debug/profile" => "profile",
-        "/debug/exemplars" => "exemplars",
-        _ => "other",
-    }
+    ROUTES
+        .iter()
+        .find(|&&(p, _)| p == path)
+        .map_or("other", |&(_, label)| label)
 }
 
 /// The status class label (1xx is folded into 2xx; the server never emits
@@ -1485,11 +1476,7 @@ fn route(req: &Request, shared: &Shared, request_id: u64, deadline: Option<Insta
             Response::text(405, format!("method {} not allowed", req.method))
                 .with_header("Allow", "POST"),
         ),
-        (
-            _,
-            "/metrics" | "/snapshot" | "/timeline" | "/healthz" | "/readyz" | "/alerts" | "/query"
-            | "/debug/profile" | "/debug/exemplars",
-        ) => Routed::plain(
+        (_, path) if endpoint_label(path) != "other" => Routed::plain(
             Response::text(405, format!("method {} not allowed", req.method))
                 .with_header("Allow", "GET"),
         ),
@@ -1501,61 +1488,14 @@ fn route(req: &Request, shared: &Shared, request_id: u64, deadline: Option<Insta
 }
 
 /// The one recorder read behind a `/metrics` scrape and a TSDB tick: sets
-/// the uptime gauge, takes an aggregate [`sjpl_obs::snapshot`] (no
-/// timeline events), and evaluates the SLOs on it.
+/// the uptime gauge and takes an aggregate [`sjpl_obs::snapshot`] (no
+/// timeline events).
 fn scrape_snapshot(shared: &Shared) -> Snapshot {
     sjpl_obs::gauge_set(
         "serve.uptime_seconds",
         shared.started.elapsed().as_secs_f64(),
     );
-    let mut snap = sjpl_obs::snapshot();
-    publish_slos(shared, &mut snap);
-    snap
-}
-
-/// Evaluates every configured SLO against the per-endpoint histograms in
-/// `snap` and publishes compliance / burn-rate / breached gauges plus
-/// breach counters to the recorder *and* into `snap`, so the output
-/// rendered from `snap` carries this evaluation.
-fn publish_slos(shared: &Shared, snap: &mut Snapshot) {
-    if shared.slos.is_empty() {
-        return;
-    }
-    let mut state = shared
-        .slo_breached
-        .lock()
-        .unwrap_or_else(|p| p.into_inner());
-    for spec in &shared.slos {
-        let st = spec.evaluate(snap);
-        let ep = &st.endpoint;
-        let breached = if st.breached { 1.0 } else { 0.0 };
-        gauge_into(snap, format!("serve.slo.compliance.{ep}"), st.compliance);
-        gauge_into(snap, format!("serve.slo.burn_rate.{ep}"), st.burn_rate);
-        gauge_into(snap, format!("serve.slo.breached.{ep}"), breached);
-        let prev = state.entry(ep.clone()).or_insert(false);
-        if st.breached && !*prev {
-            counter_into(snap, "serve.slo.breaches".to_owned(), 1);
-            counter_into(snap, format!("serve.slo.breaches.{ep}"), 1);
-        }
-        *prev = st.breached;
-    }
-}
-
-/// Sets a gauge in the recorder and in `snap`, a read taken before the
-/// write. A disabled recorder keeps nothing, so `snap` gets nothing either.
-fn gauge_into(snap: &mut Snapshot, name: String, v: f64) {
-    if sjpl_obs::enabled() {
-        snap.set_gauge(&name, v);
-    }
-    sjpl_obs::gauge_set_named(name, v);
-}
-
-/// The counter counterpart of [`gauge_into`].
-fn counter_into(snap: &mut Snapshot, name: String, n: u64) {
-    if sjpl_obs::enabled() {
-        snap.add_counter(&name, n);
-    }
-    sjpl_obs::counter_add_named(name, n);
+    sjpl_obs::snapshot()
 }
 
 /// `POST /estimate` — body `{"law": "<catalog name>", "radius": <r>}`;
@@ -1664,7 +1604,6 @@ mod tests {
             inflight: LiveGauge::new("serve.inflight"),
             connections: LiveGauge::new("serve.connections"),
             slos: Vec::new(),
-            slo_breached: Mutex::new(HashMap::new()),
             access_log: None,
             slow_ns: u64::MAX,
             exemplars: Mutex::new(HashMap::new()),
@@ -1680,36 +1619,53 @@ mod tests {
         }
     }
 
-    /// A tick reads the recorder once and writes its SLO evaluation into
-    /// that read, so the TSDB holds this tick's values, not the last one's.
+    /// A tick's burn-rate rule evaluates the SLO over windows of the
+    /// scraped counts and leaves the windowed values in the recorder.
     #[test]
     fn scrape_tick_stores_its_own_slo_evaluation() {
         sjpl_obs::set_enabled(true);
         // No other test here records readyz requests.
+        let spec = SloSpec::parse("/readyz=1ms@p50").unwrap();
         let shared = Shared {
-            slos: vec![SloSpec::parse("/readyz=1ms@p50").unwrap()],
+            alerts: Arc::new(AlertEngine::new(vec![AlertRule::burn_rate(&spec, 1_000)])),
+            slos: vec![spec],
             ..test_shared()
         };
-        let latest = |name: &str| {
-            let r = shared.tsdb.query_str(name, now_ms()).unwrap();
-            r.map(|r| r.value)
-        };
+        let gauge = |name: &str| sjpl_obs::snapshot().gauge(name);
         let mut prev = TsdbStats::default();
         scrape_tick(&shared, &mut prev);
-        assert_eq!(latest("serve.slo.compliance.readyz"), Some(1.0));
-        assert_eq!(latest("serve.slo.breached.readyz"), Some(0.0));
-        assert_eq!(latest("serve.slo.breaches.readyz"), None);
+        assert_eq!(gauge("serve.slo.compliance.readyz"), Some(1.0));
+        assert_eq!(gauge("serve.slo.burn_rate.readyz"), Some(0.0));
+        assert_eq!(gauge("serve.slo.breached.readyz"), Some(0.0));
+        assert_eq!(
+            sjpl_obs::snapshot().counter("serve.slo.breaches.readyz"),
+            None
+        );
 
-        // One request in four meets 1 ms: compliance 0.25, burn 0.75 / 0.5.
+        // One request in four meets 1 ms: over both windows compliance is
+        // 0.25 and the burn 0.75 / 0.5, so the rule enters pending.
         for ns in [1_000, 5_000_000, 6_000_000, 7_000_000] {
             sjpl_obs::record_ns_named("serve.endpoint.readyz.2xx", ns);
         }
+        std::thread::sleep(Duration::from_millis(2));
         scrape_tick(&shared, &mut prev);
-        assert_eq!(latest("serve.slo.compliance.readyz"), Some(0.25));
-        assert_eq!(latest("serve.slo.burn_rate.readyz"), Some(1.5));
-        assert_eq!(latest("serve.slo.breached.readyz"), Some(1.0));
-        assert_eq!(latest("serve.slo.breaches.readyz"), Some(1.0));
+        assert_eq!(gauge("serve.slo.compliance.readyz"), Some(0.25));
+        assert_eq!(gauge("serve.slo.burn_rate.readyz"), Some(1.5));
+        assert_eq!(gauge("serve.slo.breached.readyz"), Some(1.0));
+        assert_eq!(shared.alerts.snapshots()[0].state, "pending");
+        assert_eq!(
+            sjpl_obs::snapshot().counter("serve.slo.breaches.readyz"),
+            Some(1)
+        );
+        let latest = |name: &str| {
+            shared
+                .tsdb
+                .query_str(name, now_ms())
+                .unwrap()
+                .map(|r| r.value)
+        };
         assert_eq!(latest(&format!("{SLO_TOTAL_PREFIX}readyz")), Some(4.0));
+        assert_eq!(latest(&format!("{SLO_GOOD_PREFIX}readyz")), Some(1.0));
     }
 
     #[test]

@@ -1,6 +1,5 @@
-//! Declarative per-endpoint SLOs, parsed from `--slo` flags and evaluated
-//! against the live per-endpoint latency histograms on every `/metrics`
-//! scrape.
+//! Declarative per-endpoint SLOs, parsed from `--slo` flags, and the one
+//! definition of how fast an SLO burns its error budget.
 //!
 //! Spec syntax (one flag per endpoint, clauses comma-separated):
 //!
@@ -17,25 +16,25 @@
 //! * The error clause `err<X%` (or `err<0.001` as a bare fraction) bounds
 //!   the 5xx fraction of responses.
 //!
-//! Each scrape publishes, per endpoint:
+//! Each spec is evaluated in one place: its built-in burn-rate alert rule
+//! (`slo-burn-<endpoint>`, see [`crate::alerts`]) applies [`SloSpec::burn`]
+//! to a fast and a slow window (4× and 16× `--metrics-interval`) of the
+//! scraped counters. Once per scraper tick the rule publishes, per
+//! endpoint, windowed values:
 //!
-//! * `serve.slo.compliance.<endpoint>` — fraction of requests meeting the
-//!   latency target (or `1 − error_rate` for error-only SLOs),
-//! * `serve.slo.burn_rate.<endpoint>` — how fast the error budget burns: the
-//!   max of `violating_fraction / (1 − quantile)` and
-//!   `error_rate / budget`; 1.0 = burning exactly the budget, > 1 = breach,
-//! * `serve.slo.breached.<endpoint>` — 0/1,
-//! * `serve.slo.breaches` (+ a per-endpoint counter) incremented on each
-//!   false→true breach transition.
+//! * `serve.slo.compliance.<endpoint>` — good / total requests over the
+//!   slow window (see [`SloSpec::good_total`]); 1 when it saw no traffic,
+//! * `serve.slo.burn_rate.<endpoint>` — the smaller of the fast and slow
+//!   burns, the value that gates the rule; 1.0 = burning exactly the
+//!   budget, > 1 in both windows = breach,
+//! * `serve.slo.breached.<endpoint>` — 1 exactly while the rule is pending
+//!   or firing, else 0,
+//! * `serve.slo.breaches` (+ a per-endpoint counter) incremented each time
+//!   the rule enters pending.
 
 use sjpl_obs::Snapshot;
 
-/// The endpoint labels requests are bucketed under (everything else is
-/// `other`). SLO specs must name one of these — a typo'd endpoint would
-/// otherwise silently report an always-compliant SLO over zero requests.
-pub const ENDPOINTS: &[&str] = &[
-    "estimate", "healthz", "metrics", "other", "readyz", "snapshot", "timeline",
-];
+use crate::server::endpoint_labels;
 
 /// The response status classes tracked per endpoint.
 pub const STATUS_CLASSES: &[&str] = &["2xx", "3xx", "4xx", "5xx"];
@@ -43,7 +42,7 @@ pub const STATUS_CLASSES: &[&str] = &["2xx", "3xx", "4xx", "5xx"];
 /// One parsed `--slo` spec.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SloSpec {
-    /// Endpoint label (one of [`ENDPOINTS`]).
+    /// Endpoint label (one of [`crate::endpoint_labels`]).
     pub endpoint: String,
     /// Latency target in nanoseconds, when a `<duration>@<quantile>` clause
     /// was given.
@@ -54,34 +53,19 @@ pub struct SloSpec {
     pub max_error_rate: Option<f64>,
 }
 
-/// The result of evaluating one [`SloSpec`] against a snapshot.
-#[derive(Clone, Debug)]
-pub struct SloStatus {
-    /// Endpoint label the status is for.
-    pub endpoint: String,
-    /// Requests observed for the endpoint (all status classes).
-    pub total: u64,
-    /// Fraction of requests meeting the latency target (`1 − error_rate`
-    /// for error-only SLOs); 1.0 when no traffic.
-    pub compliance: f64,
-    /// Observed 5xx fraction.
-    pub error_rate: f64,
-    /// Max of the latency and error budget burn rates; > 1 means breached.
-    pub burn_rate: f64,
-    /// `burn_rate > 1`.
-    pub breached: bool,
-}
-
 impl SloSpec {
-    /// Parses `/<endpoint>=<clause>[,<clause>...]`.
+    /// Parses `/<endpoint>=<clause>[,<clause>...]`. The endpoint must be a
+    /// route-table label: a typo'd endpoint would otherwise silently report
+    /// an always-compliant SLO over zero requests.
     pub fn parse(s: &str) -> Result<SloSpec, String> {
         let (lhs, rhs) = s
             .split_once('=')
             .ok_or_else(|| format!("SLO {s:?}: expected <endpoint>=<clauses>"))?;
         let endpoint = lhs.trim().trim_start_matches('/').to_owned();
-        if !ENDPOINTS.contains(&endpoint.as_str()) {
+        if !endpoint_labels().any(|l| l == endpoint) {
             return Err(format!(
-                "SLO endpoint {endpoint:?} is not one of {ENDPOINTS:?}"
+                "SLO endpoint {endpoint:?} is not one of {:?}",
+                endpoint_labels().collect::<Vec<_>>()
             ));
         }
         let mut spec = SloSpec {
@@ -105,56 +89,47 @@ impl SloSpec {
         Ok(spec)
     }
 
-    /// Evaluates this spec against the per-endpoint histograms in `snap`.
-    /// Zero traffic is compliant (nothing has violated anything yet).
-    pub fn evaluate(&self, snap: &Snapshot) -> SloStatus {
-        let mut total = 0u64;
-        let mut errors = 0u64;
-        let mut within = 0u64;
+    /// The cumulative `(good, total)` request counts of this spec's
+    /// endpoint in `snap`, summed over every status class. `good` counts
+    /// requests within the latency target, or non-5xx responses when the
+    /// spec has no latency clause. Both only grow, so the scraper pushes
+    /// them as counter series for the burn-rate rule to window.
+    pub fn good_total(&self, snap: &Snapshot) -> (u64, u64) {
+        let (mut good, mut total) = (0, 0);
         for class in STATUS_CLASSES {
             let name = format!("serve.endpoint.{}.{class}", self.endpoint);
             let Some(series) = snap.span(&name) else {
                 continue;
             };
             total += series.count;
-            if *class == "5xx" {
-                errors += series.count;
-            }
-            if let Some(target) = self.latency_ns {
-                within += series.hist.count_le(target).min(series.count);
-            }
-        }
-        if total == 0 {
-            return SloStatus {
-                endpoint: self.endpoint.clone(),
-                total: 0,
-                compliance: 1.0,
-                error_rate: 0.0,
-                burn_rate: 0.0,
-                breached: false,
+            good += match self.latency_ns {
+                Some(target) => series.hist.count_le(target).min(series.count),
+                None if *class == "5xx" => 0,
+                None => series.count,
             };
         }
-        let error_rate = errors as f64 / total as f64;
-        let mut burn: f64 = 0.0;
-        let compliance = if self.latency_ns.is_some() {
-            let ok = within as f64 / total as f64;
-            let allowed = (1.0 - self.quantile).max(1e-9);
-            burn = burn.max((1.0 - ok) / allowed);
-            ok
-        } else {
-            1.0 - error_rate
+        (good, total)
+    }
+
+    /// How many times faster than allowed a window of `total` requests —
+    /// `good` of them within the latency target, `errors` of them 5xx —
+    /// spends the error budget:
+    /// `max(latency_violation / (1 − quantile), error_rate / err_budget)`.
+    /// A clause the spec lacks contributes 0, and an empty window burns 0
+    /// (nothing has violated anything yet).
+    pub fn burn(&self, good: f64, errors: f64, total: f64) -> f64 {
+        if total <= 0.0 {
+            return 0.0;
+        }
+        let latency = match self.latency_ns {
+            Some(_) => (1.0 - (good / total).clamp(0.0, 1.0)) / (1.0 - self.quantile).max(1e-9),
+            None => 0.0,
         };
-        if let Some(budget) = self.max_error_rate {
-            burn = burn.max(error_rate / budget.max(1e-9));
-        }
-        SloStatus {
-            endpoint: self.endpoint.clone(),
-            total,
-            compliance,
-            error_rate,
-            burn_rate: burn,
-            breached: burn > 1.0,
-        }
+        let error = match self.max_error_rate {
+            Some(budget) => errors / total / budget.max(1e-9),
+            None => 0.0,
+        };
+        latency.max(error)
     }
 }
 
@@ -283,6 +258,17 @@ mod tests {
         }
     }
 
+    /// `burn` over a snapshot's cumulative counts: the whole history as
+    /// one window.
+    fn burn_of(spec: &str, snap: &Snapshot) -> f64 {
+        let spec = SloSpec::parse(spec).unwrap();
+        let (good, total) = spec.good_total(snap);
+        let errors = snap
+            .span("serve.endpoint.estimate.5xx")
+            .map_or(0, |s| s.count);
+        spec.burn(good as f64, errors as f64, total as f64)
+    }
+
     #[test]
     fn evaluation_tracks_latency_and_error_budgets() {
         // 9 fast 2xx requests + 1 slow 5xx request.
@@ -294,35 +280,50 @@ mod tests {
             ..Snapshot::default()
         };
 
-        // p50 @ 1ms: 90% within, allowed violation 50% → not breached.
-        let ok = SloSpec::parse("/estimate=1ms@p50").unwrap().evaluate(&snap);
-        assert_eq!(ok.total, 10);
-        assert!((ok.compliance - 0.9).abs() < 1e-9);
-        assert!((ok.burn_rate - 0.2).abs() < 1e-9);
-        assert!(!ok.breached);
+        // p50 @ 1ms: 90% within, allowed violation 50% → burn 0.2.
+        let spec = SloSpec::parse("/estimate=1ms@p50").unwrap();
+        assert_eq!(spec.good_total(&snap), (9, 10));
+        assert!((burn_of("/estimate=1ms@p50", &snap) - 0.2).abs() < 1e-9);
 
-        // p99 @ 1ms: 10% violating vs 1% allowed → burn 10, breached.
-        let hot = SloSpec::parse("/estimate=1ms@p99").unwrap().evaluate(&snap);
-        assert!((hot.burn_rate - 10.0).abs() < 1e-9);
-        assert!(hot.breached);
+        // p99 @ 1ms: 10% violating vs 1% allowed → burn 10.
+        assert!((burn_of("/estimate=1ms@p99", &snap) - 10.0).abs() < 1e-9);
 
-        // err < 5%: observed 10% → burn 2, breached even though no latency
-        // clause was given.
-        let err = SloSpec::parse("/estimate=err<5%").unwrap().evaluate(&snap);
-        assert!((err.error_rate - 0.1).abs() < 1e-9);
-        assert!((err.burn_rate - 2.0).abs() < 1e-9);
-        assert!(err.breached);
-        assert!((err.compliance - 0.9).abs() < 1e-9);
+        // err < 5%: observed 10% → burn 2 even though no latency clause
+        // was given; good counts the non-5xx responses.
+        let spec = SloSpec::parse("/estimate=err<5%").unwrap();
+        assert_eq!(spec.good_total(&snap), (9, 10));
+        assert!((burn_of("/estimate=err<5%", &snap) - 2.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn fast_errors_burn_only_the_error_budget() {
+        // Every request is fast, so the latency clause is met; only the
+        // 5xx fraction burns, against its own 10% budget.
+        let spec = SloSpec::parse("/estimate=1s@p99,err<10%").unwrap();
+        assert!((spec.burn(100.0, 5.0, 100.0) - 0.5).abs() < 1e-9);
+        assert!((spec.burn(100.0, 20.0, 100.0) - 2.0).abs() < 1e-9);
+        // 2% slow requests against the 1% latency allowance win the max.
+        assert!((spec.burn(98.0, 5.0, 100.0) - 2.0).abs() < 1e-9);
     }
 
     #[test]
     fn zero_traffic_is_compliant() {
-        let st = SloSpec::parse("/estimate=2ms@p99,err<0.1%")
-            .unwrap()
-            .evaluate(&Snapshot::default());
-        assert_eq!(st.total, 0);
-        assert_eq!(st.compliance, 1.0);
-        assert_eq!(st.burn_rate, 0.0);
-        assert!(!st.breached);
+        let spec = SloSpec::parse("/estimate=2ms@p99,err<0.1%").unwrap();
+        assert_eq!(spec.good_total(&Snapshot::default()), (0, 0));
+        assert_eq!(spec.burn(0.0, 0.0, 0.0), 0.0);
+    }
+
+    #[test]
+    fn every_route_label_is_an_slo_and_fault_scope() {
+        for label in endpoint_labels() {
+            assert_eq!(
+                SloSpec::parse(&format!("/{label}=5ms@p99"))
+                    .unwrap()
+                    .endpoint,
+                label
+            );
+            let plan = crate::FaultPlan::parse(&format!("{label}:latency=5ms@0.5"), 1);
+            assert!(plan.is_ok(), "{label}: {plan:?}");
+        }
     }
 }

@@ -518,14 +518,13 @@ fn slo_gauges_and_breach_counters_appear_on_metrics() {
                 // 10 s @ p99 with a generous error budget: never breaches.
                 sjpl_serve::SloSpec::parse("/readyz=10s@p99,err<50%").unwrap(),
             ],
+            // Burn windows of 200 ms / 800 ms.
+            metrics_interval: Duration::from_millis(50),
             ..ServeConfig::default()
         },
     )
     .unwrap();
     let addr = server.addr();
-
-    assert_eq!(get(addr, "/healthz").0, 200);
-    assert_eq!(get(addr, "/readyz").0, 200);
 
     let gauge = |text: &str, name: &str| -> Option<f64> {
         text.lines()
@@ -534,11 +533,13 @@ fn slo_gauges_and_breach_counters_appear_on_metrics() {
             .and_then(|v| v.parse().ok())
     };
 
-    // SLOs are evaluated on each scrape against the histograms as of that
-    // scrape; the healthz request lands in the histogram just after its
-    // response is written, so poll until the breach shows.
-    let deadline = Instant::now() + Duration::from_secs(5);
+    // The burn-rate rules publish the gauges on each scraper tick, over
+    // windows of the scraped counts: keep traffic flowing until the
+    // healthz window shows the breach.
+    let deadline = Instant::now() + Duration::from_secs(10);
     let text = loop {
+        assert_eq!(get(addr, "/healthz").0, 200);
+        assert_eq!(get(addr, "/readyz").0, 200);
         let (status, _, text) = get(addr, "/metrics");
         assert_eq!(status, 200);
         if gauge(&text, "sjpl_serve_slo_breached_healthz") == Some(1.0) {
@@ -547,11 +548,10 @@ fn slo_gauges_and_breach_counters_appear_on_metrics() {
         assert!(Instant::now() < deadline, "healthz SLO never breached");
         std::thread::sleep(Duration::from_millis(20));
     };
-    assert!(
-        gauge(&text, "sjpl_serve_slo_compliance_healthz").unwrap() < 1.0,
-        "1ns target can't be met"
-    );
-    assert!(gauge(&text, "sjpl_serve_slo_burn_rate_healthz").unwrap() > 1.0);
+    // No healthz request meets 1 ns: compliance 0, and the burn is the
+    // whole violation over the 50% allowance in both windows.
+    assert_eq!(gauge(&text, "sjpl_serve_slo_compliance_healthz"), Some(0.0));
+    assert_eq!(gauge(&text, "sjpl_serve_slo_burn_rate_healthz"), Some(2.0));
     assert!(gauge(&text, "sjpl_serve_slo_breaches").unwrap() >= 1.0);
     assert!(gauge(&text, "sjpl_serve_slo_breaches_healthz").unwrap() >= 1.0);
 
