@@ -57,7 +57,8 @@ pub struct Options {
     pub catalog: Option<String>,
     /// `--drift-interval <secs>` (serve: time between drift checks).
     pub drift_interval: Option<f64>,
-    /// `--error-budget <x>` (serve: mean rel error that counts as drifted).
+    /// `--error-budget <x>` (serve: mean rel error that counts as drifted,
+    /// evaluated by the `drift-<law>` rules).
     pub error_budget: Option<f64>,
     /// `--drift-sample <rate>` (serve: sampling rate of the ground-truth
     /// oracle; the paper's §4.3 trick).

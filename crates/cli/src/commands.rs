@@ -95,8 +95,8 @@ options:
   --port <p>           serve: bind port on 127.0.0.1 [default 9090]
   --catalog <file>     serve: law catalog to serve (see catalog-add)
   --drift-interval <s> serve: seconds between drift checks [default 30]
-  --error-budget <x>   serve: mean rel error that counts a law as drifted
-                       [default 0.5]
+  --error-budget <x>   serve: mean rel error that counts a law as drifted,
+                       evaluated by the drift-<law> rules [default 0.5]
   --drift-sample <r>   serve: sampling rate of the drift ground-truth oracle
                        [default 0.2]
   --slo <spec>         serve: per-endpoint SLO, repeatable; latency clause
@@ -131,7 +131,7 @@ options:
                        'name: expr op threshold [for <dur>]' where expr is
                        the /query grammar, e.g.
                        'hot: rate(serve.requests[30s]) > 100 for 30s'.
-                       Multi-window SLO burn-rate and drift-breach rules are
+                       Multi-window SLO burn-rate and drift rules are
                        built in for every --slo and drift probe; states show
                        on GET /alerts and as ALERTS{...} on /metrics
   --connections <n>    loadtest: concurrent keep-alive connections; keep at
@@ -386,7 +386,6 @@ fn cmd_serve(o: &Options) -> Result<(), String> {
             .drift_interval
             .map_or(defaults.interval, std::time::Duration::from_secs_f64),
         error_budget: o.error_budget.unwrap_or(defaults.error_budget),
-        window: defaults.window,
     };
     let mut slos = Vec::with_capacity(o.slos.len());
     for spec in &o.slos {
@@ -463,7 +462,10 @@ fn cmd_serve(o: &Options) -> Result<(), String> {
          drift rules (watch with `sjpl dash`)"
     );
     if n_probes > 0 {
-        println!("drift monitor: {n_probes} probe(s), every {interval:?}, error budget {budget}");
+        println!(
+            "drift monitor: {n_probes} probe(s), every {interval:?}; error budget {budget}, \
+             evaluated by the drift-<law> rules"
+        );
     }
     if n_slos > 0 {
         println!("slo: {n_slos} objective(s), evaluated by their burn-rate rules");

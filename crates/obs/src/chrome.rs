@@ -10,8 +10,7 @@
 //! them in the detail pane, which is how the span *tree* stays navigable
 //! even though the track layout is per-thread.
 
-use crate::json::Json;
-use crate::snapshot::json_escape;
+use crate::json::{escape, Json};
 use crate::timeline::{TimelineEvent, TimelineSnapshot};
 use crate::Snapshot;
 
@@ -26,14 +25,14 @@ fn render_event(
     detail: Option<&str>,
 ) -> String {
     let detail_field = match detail {
-        Some(d) => format!(", \"detail\": \"{}\"", json_escape(d)),
+        Some(d) => format!(", \"detail\": \"{}\"", escape(d)),
         None => String::new(),
     };
     format!(
         "{{\"name\": \"{}\", \"ph\": \"X\", \"pid\": 1, \"tid\": {}, \
          \"ts\": {:.3}, \"dur\": {:.3}, \
          \"args\": {{\"id\": {}, \"parent\": {}{}}}}}",
-        json_escape(name),
+        escape(name),
         tid,
         start_ns / 1e3,
         dur_ns / 1e3,

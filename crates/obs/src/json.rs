@@ -1,4 +1,5 @@
-//! A minimal JSON value type and recursive-descent parser.
+//! A minimal JSON value type and recursive-descent parser, plus the two
+//! value writers ([`escape`], [`number`]) every hand-rendered document uses.
 //!
 //! The workspace renders all of its machine-readable output (snapshots,
 //! `BENCH_bops.json`, Chrome traces) by hand; this is the matching reader,
@@ -92,7 +93,29 @@ impl Json {
 /// counterpart of the parser; shared by the snapshot renderers and the
 /// serve endpoints).
 pub fn escape(s: &str) -> String {
-    crate::snapshot::json_escape(s)
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+/// Formats an `f64` as a JSON number value (JSON has no NaN/Infinity; they
+/// become `null`).
+pub fn number(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v}")
+    } else {
+        "null".to_owned()
+    }
 }
 
 /// Nesting bound: deeper documents are rejected rather than risking a

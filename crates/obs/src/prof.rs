@@ -191,7 +191,7 @@ impl Profile {
             "      \"hz\": {}, \"duration_ns\": {}, \"ticks\": {}, \
              \"missed_ticks\": {}, \"attempts\": {}, \"samples\": {}, \
              \"idle\": {}, \"dropped\": {}, \"overhead_ns\": {},",
-            crate::snapshot::json_f64(self.hz),
+            crate::json::number(self.hz),
             self.duration_ns,
             self.ticks,
             self.missed_ticks,
@@ -207,7 +207,7 @@ impl Profile {
                 j,
                 "{}\n        {{\"stack\": \"{}\", \"count\": {count}}}",
                 if i == 0 { "" } else { "," },
-                crate::snapshot::json_escape(path)
+                crate::json::escape(path)
             );
         }
         j.push_str(if self.folded.is_empty() {
@@ -222,7 +222,7 @@ impl Profile {
                 j,
                 "{}\n        {{\"name\": \"{}\", \"self\": {}, \"total\": {}}}",
                 if i == 0 { "" } else { "," },
-                crate::snapshot::json_escape(&s.name),
+                crate::json::escape(&s.name),
                 s.self_samples,
                 s.total_samples
             );

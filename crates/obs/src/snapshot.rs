@@ -6,6 +6,7 @@
 //! serialization dependency would cost more than the ~60 lines it saves.
 
 use crate::hist::LogLinearHistogram;
+use crate::json::{escape, number};
 use crate::timeline::TimelineSnapshot;
 use crate::Accuracy;
 
@@ -117,32 +118,6 @@ impl Default for TimingSnapshot {
     }
 }
 
-/// Escapes a string for inclusion in a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Formats an `f64` as JSON (JSON has no NaN/Infinity; map them to null).
-pub(crate) fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_owned()
-    }
-}
-
 impl Snapshot {
     /// Attaches the recorder's timeline ring (retained events, oldest
     /// first, with their exact `dropped_events`) and the current profile.
@@ -229,10 +204,10 @@ impl Snapshot {
                  \"mean_ns\": {}, \"min_ns\": {}, \"max_ns\": {}, \
                  \"p50_ns\": {}, \"p95_ns\": {}, \"p99_ns\": {}, \
                  \"p999_ns\": {}, \"hist\": [{}]}}{}\n",
-                json_escape(&s.name),
+                escape(&s.name),
                 s.count,
                 s.total_ns,
-                json_f64(s.mean_ns()),
+                number(s.mean_ns()),
                 if s.count == 0 { 0 } else { s.min_ns },
                 s.max_ns,
                 s.hist.quantile(0.5),
@@ -247,7 +222,7 @@ impl Snapshot {
         for (i, (name, value)) in self.counters.iter().enumerate() {
             out.push_str(&format!(
                 "    {{\"name\": \"{}\", \"value\": {}}}{}\n",
-                json_escape(name),
+                escape(name),
                 value,
                 comma(i, self.counters.len()),
             ));
@@ -256,8 +231,8 @@ impl Snapshot {
         for (i, (name, value)) in self.gauges.iter().enumerate() {
             out.push_str(&format!(
                 "    {{\"name\": \"{}\", \"value\": {}}}{}\n",
-                json_escape(name),
-                json_f64(*value),
+                escape(name),
+                number(*value),
                 comma(i, self.gauges.len()),
             ));
         }
@@ -266,8 +241,8 @@ impl Snapshot {
             out.push_str(&format!(
                 "    {{\"seq\": {}, \"name\": \"{}\", \"detail\": \"{}\"}}{}\n",
                 e.seq,
-                json_escape(&e.name),
-                json_escape(&e.detail),
+                escape(&e.name),
+                escape(&e.detail),
                 comma(i, self.events.len()),
             ));
         }
@@ -280,13 +255,13 @@ impl Snapshot {
                 "    {{\"dataset\": \"{}\", \"method\": \"{}\", \
                  \"join_kind\": \"{}\", \"radius\": {}, \
                  \"estimated_pc\": {}, \"true_pc\": {}, \"rel_error\": {}}}{}\n",
-                json_escape(&a.dataset),
-                json_escape(&a.method),
-                json_escape(&a.join_kind),
-                json_f64(a.radius),
-                json_f64(a.estimated_pc),
-                a.true_pc.map_or("null".to_owned(), json_f64),
-                a.rel_error().map_or("null".to_owned(), json_f64),
+                escape(&a.dataset),
+                escape(&a.method),
+                escape(&a.join_kind),
+                number(a.radius),
+                number(a.estimated_pc),
+                a.true_pc.map_or("null".to_owned(), number),
+                a.rel_error().map_or("null".to_owned(), number),
                 comma(i, self.accuracy.len()),
             ));
         }
@@ -296,7 +271,7 @@ impl Snapshot {
         ));
         for (i, e) in self.timeline.events.iter().enumerate() {
             let args = match &e.args {
-                Some(a) => format!(", \"args\": \"{}\"", json_escape(a)),
+                Some(a) => format!(", \"args\": \"{}\"", escape(a)),
                 None => String::new(),
             };
             out.push_str(&format!(
@@ -305,7 +280,7 @@ impl Snapshot {
                 e.id,
                 e.parent,
                 e.tid,
-                json_escape(e.name),
+                escape(e.name),
                 e.start_ns,
                 e.dur_ns,
                 args,
@@ -334,11 +309,11 @@ impl Snapshot {
                 "    {{\"name\": \"{}\", \"state\": \"{}\", \"expr\": \"{}\", \
                  \"value\": {}, \"threshold\": {}, \"since_ms\": {}, \
                  \"for_ms\": {}, \"transitions\": {}}}{}\n",
-                json_escape(&a.name),
-                json_escape(&a.state),
-                json_escape(&a.expr),
-                json_f64(a.value),
-                json_f64(a.threshold),
+                escape(&a.name),
+                escape(&a.state),
+                escape(&a.expr),
+                number(a.value),
+                number(a.threshold),
                 a.since_ms,
                 a.for_ms,
                 a.transitions,
@@ -477,14 +452,14 @@ mod tests {
 
     #[test]
     fn json_escaping() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
+        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escape("\u{1}"), "\\u0001");
     }
 
     #[test]
     fn nonfinite_gauges_render_as_null() {
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(1.5), "1.5");
+        assert_eq!(number(f64::NAN), "null");
+        assert_eq!(number(1.5), "1.5");
     }
 
     #[test]

@@ -31,11 +31,17 @@
 //!   one spike from paging; requiring both makes resolution automatic once
 //!   traffic is healthy again. Each tick it also publishes the windowed
 //!   `serve.slo.*` gauges and breach counters (see [`crate::slo`]).
-//! * **Drift breach** (built-in, one per drift-probed law): fires while
-//!   `max(serve.drift.breached.<law>[window]) >= 1`.
+//! * **Drift** (built-in, one per drift-probed law), and the only drift
+//!   decision: `serve.drift.rel_error.<law> > budget` on the latest
+//!   sample, with no hold. The drift thread only measures that rolling
+//!   mean error (see [`crate::drift`]); the rule writes
+//!   `serve.drift.breached.<law>` (1 exactly while pending or firing), and
+//!   bumps `serve.drift.breaches` and records a `serve.drift.breach` event
+//!   on each entry into pending.
 
 use std::sync::Mutex;
 
+use sjpl_obs::json::{escape, number};
 use sjpl_obs::tsdb::{QueryExpr, Tsdb};
 use sjpl_obs::AlertSnapshot;
 
@@ -47,6 +53,10 @@ pub const SLO_GOOD_PREFIX: &str = "serve.slo.good.";
 /// Prefix of the synthetic "all requests" cumulative series (suffix:
 /// endpoint label).
 pub const SLO_TOTAL_PREFIX: &str = "serve.slo.total.";
+
+/// Prefix of the drift thread's rolling mean relative error gauge (suffix:
+/// law name), the series the `drift-<law>` rules read.
+const DRIFT_ERROR_PREFIX: &str = "serve.drift.rel_error.";
 
 /// Comparison operator of a declarative rule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -103,6 +113,14 @@ pub enum AlertCondition {
         fast_ms: u64,
         /// Slow window, milliseconds.
         slow_ms: u64,
+    },
+    /// The built-in drift condition: the law's rolling mean relative error
+    /// (latest sample) exceeds the error budget.
+    Drift {
+        /// Catalog key of the probed law.
+        law: String,
+        /// Mean relative error above which the law counts as drifted.
+        budget: f64,
     },
 }
 
@@ -238,21 +256,18 @@ impl AlertRule {
         }
     }
 
-    /// The built-in drift-breach rule for one probed law: fires while the
-    /// drift monitor's breached gauge was raised anywhere in the window.
-    pub fn drift(law: &str, window_ms: u64) -> AlertRule {
-        let series = format!("serve.drift.breached.{law}");
-        let expr_text = format!("max({series}[{window_ms}ms]) >= 1");
+    /// The built-in drift rule for one probed law: holds while the drift
+    /// thread's latest rolling mean error exceeds `error_budget`.
+    pub fn drift(law: &str, error_budget: f64) -> AlertRule {
         AlertRule {
             name: format!("drift-{law}"),
-            expr_text,
-            condition: AlertCondition::Threshold {
-                expr: QueryExpr::Max(series, window_ms),
-                op: CmpOp::Ge,
-                threshold: 1.0,
+            expr_text: format!("{DRIFT_ERROR_PREFIX}{law} > {error_budget}"),
+            condition: AlertCondition::Drift {
+                law: law.to_owned(),
+                budget: error_budget,
             },
             for_ms: 0,
-            threshold: 1.0,
+            threshold: error_budget,
         }
     }
 
@@ -290,6 +305,11 @@ impl AlertRule {
                 let compliance = if total > 0.0 { good / total } else { 1.0 };
                 // Both windows must burn: report the gating (smaller) one.
                 (fast.min(slow), fast > 1.0 && slow > 1.0, Some(compliance))
+            }
+            AlertCondition::Drift { law, budget } => {
+                let series = QueryExpr::Latest(format!("{DRIFT_ERROR_PREFIX}{law}"));
+                let value = tsdb.query(&series, now_ms).map_or(0.0, |r| r.value);
+                (value, value > *budget, None)
             }
         }
     }
@@ -385,20 +405,32 @@ impl AlertEngine {
                 _ => {}
             }
             sjpl_obs::gauge_set_named(format!("alert.state.{}", a.rule.name), a.state.as_gauge());
-            if let (AlertCondition::BurnRate { spec, .. }, Some(compliance)) =
-                (&a.rule.condition, compliance)
-            {
-                let ep = &spec.endpoint;
-                sjpl_obs::gauge_set_named(format!("serve.slo.compliance.{ep}"), compliance);
-                sjpl_obs::gauge_set_named(format!("serve.slo.burn_rate.{ep}"), value);
-                sjpl_obs::gauge_set_named(
-                    format!("serve.slo.breached.{ep}"),
-                    if active { 1.0 } else { 0.0 },
-                );
-                if entered_pending {
-                    sjpl_obs::counter_add("serve.slo.breaches", 1);
-                    sjpl_obs::counter_add_named(format!("serve.slo.breaches.{ep}"), 1);
+            let breached = if active { 1.0 } else { 0.0 };
+            match (&a.rule.condition, compliance) {
+                (AlertCondition::BurnRate { spec, .. }, Some(compliance)) => {
+                    let ep = &spec.endpoint;
+                    sjpl_obs::gauge_set_named(format!("serve.slo.compliance.{ep}"), compliance);
+                    sjpl_obs::gauge_set_named(format!("serve.slo.burn_rate.{ep}"), value);
+                    sjpl_obs::gauge_set_named(format!("serve.slo.breached.{ep}"), breached);
+                    if entered_pending {
+                        sjpl_obs::counter_add("serve.slo.breaches", 1);
+                        sjpl_obs::counter_add_named(format!("serve.slo.breaches.{ep}"), 1);
+                    }
                 }
+                (AlertCondition::Drift { law, budget }, _) => {
+                    sjpl_obs::gauge_set_named(format!("serve.drift.breached.{law}"), breached);
+                    if entered_pending {
+                        sjpl_obs::counter_add("serve.drift.breaches", 1);
+                        sjpl_obs::event(
+                            "serve.drift.breach",
+                            format!(
+                                "law {law}: rolling mean rel error {value:.4} \
+                                 exceeds budget {budget:.4}"
+                            ),
+                        );
+                    }
+                }
+                _ => {}
             }
         }
         sjpl_obs::gauge_set("alert.firing", firing as f64);
@@ -435,8 +467,8 @@ impl AlertEngine {
                 escape(&a.name),
                 a.state,
                 escape(&a.expr),
-                finite(a.value),
-                finite(a.threshold),
+                number(a.value),
+                number(a.threshold),
                 a.since_ms,
                 a.for_ms,
                 a.transitions,
@@ -471,25 +503,6 @@ impl AlertEngine {
             ));
         }
         out
-    }
-}
-
-fn escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
-fn finite(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_owned()
     }
 }
 
@@ -733,29 +746,91 @@ mod tests {
         assert_eq!(snap.counter("serve.slo.breaches.exemplars"), Some(1));
     }
 
+    /// Serializes the tests that move the process-wide
+    /// `serve.drift.breaches` counter, so each can count its own breaches.
+    static DRIFT_BREACHES: Mutex<()> = Mutex::new(());
+
+    /// Pushes one scrape of `law`'s rolling mean error and evaluates.
+    fn drift_tick(engine: &AlertEngine, tsdb: &Tsdb, law: &str, t_ms: u64, rel_error: f64) {
+        let series = format!("serve.drift.rel_error.{law}");
+        tsdb.push(&series, SeriesKind::Gauge, t_ms, rel_error);
+        engine.evaluate(tsdb, t_ms);
+    }
+
     #[test]
     fn drift_rule_fires_on_the_breached_gauge() {
-        let rule = AlertRule::drift("uniform", 8_000);
+        let _serial = DRIFT_BREACHES.lock().unwrap_or_else(|p| p.into_inner());
+        sjpl_obs::set_enabled(true);
+        let rule = AlertRule::drift("uniform", 0.5);
         assert_eq!(rule.name, "drift-uniform");
+        assert_eq!(rule.expr_text, "serve.drift.rel_error.uniform > 0.5");
+        assert_eq!((rule.for_ms, rule.threshold), (0, 0.5));
         let engine = AlertEngine::new(vec![rule]);
         let tsdb = Tsdb::new(16);
-        tsdb.push(
-            "serve.drift.breached.uniform",
-            SeriesKind::Gauge,
-            1_000,
-            1.0,
-        );
-        engine.evaluate(&tsdb, 1_000);
+        // No error measured yet: nothing to decide, the gauge reads 0.
+        engine.evaluate(&tsdb, 500);
+        assert_eq!(engine.snapshots()[0].state, "inactive");
+        let breached = || sjpl_obs::snapshot().gauge("serve.drift.breached.uniform");
+        assert_eq!(breached(), Some(0.0));
         // for_ms = 0: straight through pending to firing in one pass.
-        assert_eq!(engine.snapshots()[0].state, "firing");
-        tsdb.push(
-            "serve.drift.breached.uniform",
-            SeriesKind::Gauge,
-            20_000,
-            0.0,
-        );
-        engine.evaluate(&tsdb, 20_000);
+        drift_tick(&engine, &tsdb, "uniform", 1_000, 0.75);
+        let s = &engine.snapshots()[0];
+        assert_eq!((s.state.as_str(), s.value), ("firing", 0.75));
+        assert_eq!(breached(), Some(1.0));
+        // Exactly at the budget is not over it.
+        drift_tick(&engine, &tsdb, "uniform", 2_000, 0.5);
         assert_eq!(engine.snapshots()[0].state, "resolved");
+        assert_eq!(breached(), Some(0.0));
+    }
+
+    #[test]
+    fn drift_rule_and_breached_gauge_clear_together() {
+        let _serial = DRIFT_BREACHES.lock().unwrap_or_else(|p| p.into_inner());
+        sjpl_obs::set_enabled(true);
+        // No other test probes this law.
+        let law = "clears";
+        let engine = AlertEngine::new(vec![AlertRule::drift(law, 0.25)]);
+        let tsdb = Tsdb::new(16);
+        let read = || {
+            let snap = sjpl_obs::snapshot();
+            let events = snap
+                .events
+                .iter()
+                .filter(|e| {
+                    e.name == "serve.drift.breach" && e.detail.starts_with(&format!("law {law}:"))
+                })
+                .count();
+            (
+                snap.gauge(&format!("serve.drift.breached.{law}")),
+                snap.counter("serve.drift.breaches").unwrap_or(0),
+                events,
+            )
+        };
+        drift_tick(&engine, &tsdb, law, 1_000, 0.1);
+        assert_eq!(engine.snapshots()[0].state, "inactive");
+        let (breached, breaches0, events0) = read();
+        assert_eq!(breached, Some(0.0));
+
+        // The error rises above the budget: one decision, three outputs.
+        drift_tick(&engine, &tsdb, law, 2_000, 0.9);
+        assert_eq!(engine.snapshots()[0].state, "firing");
+        let (breached, breaches, events) = read();
+        assert_eq!(breached, Some(1.0));
+        assert_eq!((breaches - breaches0, events - events0), (1, 1));
+
+        // Still over: no second breach for the same episode.
+        drift_tick(&engine, &tsdb, law, 3_000, 0.8);
+        let (breached, breaches, events) = read();
+        assert_eq!(breached, Some(1.0));
+        assert_eq!((breaches - breaches0, events - events0), (1, 1));
+
+        // Back under the budget: the rule resolves and the gauge clears on
+        // the same tick.
+        drift_tick(&engine, &tsdb, law, 4_000, 0.1);
+        assert_eq!(engine.snapshots()[0].state, "resolved");
+        let (breached, breaches, _) = read();
+        assert_eq!(breached, Some(0.0));
+        assert_eq!(breaches - breaches0, 1);
     }
 
     #[test]

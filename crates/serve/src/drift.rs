@@ -6,21 +6,22 @@
 //! against a ground-truth oracle on a timer — in production the oracle is
 //! the paper's own sampling trick (an exact join over a small sample,
 //! scaled by the inverse sampling rate; Observation 3 says the slope
-//! survives sampling) — and publishes the result as gauges:
+//! survives sampling). The drift thread only *measures*; each tick it
+//! publishes
 //!
-//! * `serve.drift.rel_error.<law>` — mean relative error over the rolling
-//!   window
-//! * `serve.drift.breached.<law>` — 1.0 while that mean exceeds the error
-//!   budget, else 0.0
-//! * `serve.drift.checks` / `serve.drift.breaches` counters, plus a
-//!   `serve.drift.breach` event on each false→true transition
+//! * `serve.drift.rel_error.<law>` — mean relative error over the last
+//!   8 ticks
+//! * `serve.drift.checks` — one per tick of a law still in the catalog
 //!
-//! so a Prometheus scrape of `/metrics` surfaces estimator *staleness*,
-//! not just throughput.
+//! The decision is the built-in `drift-<law>` alert rule's
+//! ([`AlertRule::drift`](crate::AlertRule::drift)): it compares that mean
+//! against [`DriftConfig::error_budget`] on every scraper tick and writes
+//! `serve.drift.breached.<law>`, the `serve.drift.breaches` counter and
+//! the `serve.drift.breach` event, so a Prometheus scrape of `/metrics`
+//! surfaces estimator *staleness*, not just throughput.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use sjpl_core::LawCatalog;
@@ -67,15 +68,17 @@ impl DriftProbe {
     }
 }
 
+/// Number of most-recent ticks the published mean error is taken over.
+const WINDOW: usize = 8;
+
 /// Drift-monitor tuning.
 #[derive(Clone)]
 pub struct DriftConfig {
     /// Time between checks.
     pub interval: Duration,
-    /// Mean relative error above which a law counts as drifted.
+    /// Mean relative error above which a law counts as drifted, evaluated
+    /// by the `drift-<law>` alert rules.
     pub error_budget: f64,
-    /// Number of most-recent ticks the mean is taken over.
-    pub window: usize,
 }
 
 impl Default for DriftConfig {
@@ -83,7 +86,6 @@ impl Default for DriftConfig {
         DriftConfig {
             interval: Duration::from_secs(30),
             error_budget: 0.5,
-            window: 8,
         }
     }
 }
@@ -92,94 +94,41 @@ struct ProbeState {
     probe: DriftProbe,
     /// Rolling window of per-tick mean relative errors.
     recent: VecDeque<f64>,
-    breached: bool,
 }
 
-/// Handle to the background drift thread; dropping it does *not* stop the
-/// thread — call [`DriftMonitor::shutdown`].
-pub struct DriftMonitor {
-    stop: Arc<(Mutex<bool>, Condvar)>,
-    handle: Option<JoinHandle<()>>,
+/// The drift thread's tick: checks every probe against the *live* catalog,
+/// so a law replaced at runtime is picked up on the next check.
+pub(crate) fn monitor(
+    catalog: Arc<Mutex<LawCatalog>>,
+    probes: Vec<DriftProbe>,
+) -> impl FnMut() + Send + 'static {
+    let mut states: Vec<ProbeState> = probes
+        .into_iter()
+        .map(|probe| ProbeState {
+            probe,
+            recent: VecDeque::new(),
+        })
+        .collect();
+    move || check_all(&catalog, &mut states)
 }
 
-impl DriftMonitor {
-    /// Spawns the monitor thread. It reads the *live* catalog each tick, so
-    /// a law replaced at runtime is picked up on the next check.
-    pub fn spawn(
-        catalog: Arc<Mutex<LawCatalog>>,
-        probes: Vec<DriftProbe>,
-        cfg: DriftConfig,
-    ) -> DriftMonitor {
-        let stop = Arc::new((Mutex::new(false), Condvar::new()));
-        let stop2 = Arc::clone(&stop);
-        let mut states: Vec<ProbeState> = probes
-            .into_iter()
-            .map(|probe| ProbeState {
-                probe,
-                recent: VecDeque::new(),
-                breached: false,
-            })
-            .collect();
-        let handle = std::thread::Builder::new()
-            .name("sjpl-drift".to_owned())
-            .spawn(move || loop {
-                for st in &mut states {
-                    // A panicking truth oracle must cost one tick, not the
-                    // whole monitor: uncontained, the thread dies and the
-                    // drift gauges silently freeze at their last values.
-                    let tick_result =
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            tick(&catalog, st, &cfg)
-                        }));
-                    if tick_result.is_err() {
-                        sjpl_obs::counter_add("serve.panics", 1);
-                        sjpl_obs::event(
-                            "serve.panic",
-                            format!("drift tick for law {:?} panicked", st.probe.law_name),
-                        );
-                    }
-                }
-                let (lock, cv) = &*stop2;
-                let guard = lock.lock().unwrap_or_else(|p| p.into_inner());
-                let (guard, _) = cv
-                    .wait_timeout_while(guard, cfg.interval, |stopped| !*stopped)
-                    .unwrap_or_else(|p| p.into_inner());
-                if *guard {
-                    return;
-                }
-            })
-            .expect("spawn drift thread");
-        DriftMonitor {
-            stop,
-            handle: Some(handle),
+fn check_all(catalog: &Mutex<LawCatalog>, states: &mut [ProbeState]) {
+    for st in states {
+        // A panicking truth oracle must cost one probe's tick, not the
+        // others': each check is contained on its own.
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| check(catalog, st)));
+        if result.is_err() {
+            sjpl_obs::counter_add("serve.panics", 1);
+            sjpl_obs::event(
+                "serve.panic",
+                format!("drift tick for law {:?} panicked", st.probe.law_name),
+            );
         }
     }
-
-    /// Stops the thread and waits for it to exit.
-    pub fn shutdown(mut self) {
-        self.signal_stop();
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-
-    fn signal_stop(&self) {
-        let (lock, cv) = &*self.stop;
-        *lock.lock().unwrap_or_else(|p| p.into_inner()) = true;
-        cv.notify_all();
-    }
 }
 
-impl Drop for DriftMonitor {
-    fn drop(&mut self) {
-        // Best-effort: ask the thread to stop even if shutdown() was never
-        // called, but don't block the dropping thread on the join.
-        self.signal_stop();
-    }
-}
-
-/// One drift check of one law.
-fn tick(catalog: &Mutex<LawCatalog>, st: &mut ProbeState, cfg: &DriftConfig) {
+/// One drift check of one law: measures and publishes the window mean.
+fn check(catalog: &Mutex<LawCatalog>, st: &mut ProbeState) {
     let law = {
         let cat = catalog.lock().unwrap_or_else(|p| p.into_inner());
         cat.get(&st.probe.law_name).copied()
@@ -200,33 +149,16 @@ fn tick(catalog: &Mutex<LawCatalog>, st: &mut ProbeState, cfg: &DriftConfig) {
     if errs.is_empty() {
         return;
     }
-    let tick_mean = errs.iter().sum::<f64>() / errs.len() as f64;
-    st.recent.push_back(tick_mean);
-    while st.recent.len() > cfg.window.max(1) {
+    st.recent
+        .push_back(errs.iter().sum::<f64>() / errs.len() as f64);
+    if st.recent.len() > WINDOW {
         st.recent.pop_front();
     }
     let window_mean = st.recent.iter().sum::<f64>() / st.recent.len() as f64;
-
-    let name = &st.probe.law_name;
-    sjpl_obs::gauge_set_named(format!("serve.drift.rel_error.{name}"), window_mean);
-    let breached = window_mean > cfg.error_budget;
     sjpl_obs::gauge_set_named(
-        format!("serve.drift.breached.{name}"),
-        if breached { 1.0 } else { 0.0 },
+        format!("serve.drift.rel_error.{}", st.probe.law_name),
+        window_mean,
     );
-    if breached && !st.breached {
-        sjpl_obs::counter_add("serve.drift.breaches", 1);
-        sjpl_obs::event(
-            "serve.drift.breach",
-            format!(
-                "law {name}: mean rel error {window_mean:.4} over {} tick(s) \
-                 exceeds budget {:.4}",
-                st.recent.len(),
-                cfg.error_budget
-            ),
-        );
-    }
-    st.breached = breached;
 }
 
 #[cfg(test)]
@@ -249,48 +181,50 @@ mod tests {
     }
 
     #[test]
-    fn tick_tracks_error_and_breach_transition() {
-        // Not using the global recorder here (covered by the integration
-        // tests); exercise the windowing/transition logic directly.
+    fn tick_measures_the_rolling_mean_error() {
+        sjpl_obs::set_enabled(true);
+        // No other test publishes this law's gauges.
+        let name = "tick-law";
         let catalog = Mutex::new({
             let mut c = LawCatalog::new();
-            c.insert("t", toy_law(1000.0, 1.5));
+            c.insert(name, toy_law(1000.0, 1.5));
             c
         });
         let truth_law = toy_law(1000.0, 1.5);
         let mut st = ProbeState {
             probe: DriftProbe {
-                law_name: "t".into(),
+                law_name: name.into(),
                 radii: vec![0.1, 0.3, 0.6],
                 truth: Arc::new(move |r| truth_law.pair_count(r)),
             },
             recent: VecDeque::new(),
-            breached: false,
         };
-        let cfg = DriftConfig {
-            window: 4,
-            error_budget: 0.25,
-            ..DriftConfig::default()
+        let rel_error = || {
+            sjpl_obs::snapshot()
+                .gauge(&format!("serve.drift.rel_error.{name}"))
+                .unwrap()
         };
 
-        tick(&catalog, &mut st, &cfg);
+        check(&catalog, &mut st);
         assert_eq!(st.recent.len(), 1);
-        assert!(st.recent[0] < 1e-9, "law == truth should have ~0 error");
-        assert!(!st.breached);
+        assert!(rel_error() < 1e-9, "law == truth should have ~0 error");
 
-        // Perturb the served law: K × 10 → rel error 9 ≫ budget.
-        catalog.lock().unwrap().insert("t", toy_law(10_000.0, 1.5));
-        tick(&catalog, &mut st, &cfg);
-        assert!(st.recent.len() == 2);
-        // One bad tick averaged with one good one: (0 + 9)/2 = 4.5 > 0.25.
-        assert!(st.breached, "window mean should breach the budget");
+        // Perturb the served law: K × 10 → rel error 9 per tick, averaged
+        // with the good tick: (0 + 9)/2 = 4.5.
+        catalog.lock().unwrap().insert(name, toy_law(10_000.0, 1.5));
+        check(&catalog, &mut st);
+        assert_eq!(st.recent.len(), 2);
+        assert!((rel_error() - 4.5).abs() < 1e-9, "{}", rel_error());
 
-        // Window stays bounded.
+        // The window stays bounded and forgets the good tick.
         for _ in 0..10 {
-            tick(&catalog, &mut st, &cfg);
+            check(&catalog, &mut st);
         }
-        assert_eq!(st.recent.len(), cfg.window);
-        assert!(st.breached);
+        assert_eq!(st.recent.len(), WINDOW);
+        assert!((rel_error() - 9.0).abs() < 1e-9, "{}", rel_error());
+        // Measuring only: the breach decision is the drift rule's.
+        let snap = sjpl_obs::snapshot();
+        assert_eq!(snap.gauge(&format!("serve.drift.breached.{name}")), None);
     }
 
     #[test]
@@ -325,9 +259,8 @@ mod tests {
                 truth: Arc::new(|_| 1.0),
             },
             recent: VecDeque::new(),
-            breached: false,
         };
-        tick(&catalog, &mut st, &DriftConfig::default());
+        check(&catalog, &mut st);
         assert!(st.recent.is_empty());
     }
 
@@ -341,8 +274,8 @@ mod tests {
             c
         }));
         let truth_law = toy_law(1000.0, 1.5);
-        // The panicking probe runs *first* every tick; if its panic killed
-        // the thread, the good probe would never publish.
+        // The panicking probe runs *first* every tick; if its panic escaped
+        // the tick, the good probe would never publish.
         let probes = vec![
             DriftProbe {
                 law_name: "bad".into(),
@@ -355,32 +288,12 @@ mod tests {
                 truth: Arc::new(move |r| truth_law.pair_count(r)),
             },
         ];
-        let mon = DriftMonitor::spawn(
-            Arc::clone(&catalog),
-            probes,
-            DriftConfig {
-                interval: Duration::from_millis(50),
-                error_budget: 0.5,
-                window: 4,
-            },
-        );
-        let t0 = std::time::Instant::now();
-        loop {
-            let snap = sjpl_obs::snapshot();
-            if snap
-                .gauges
-                .iter()
-                .any(|(n, _)| n == "serve.drift.rel_error.good")
-            {
-                break;
-            }
-            assert!(
-                t0.elapsed() < Duration::from_secs(10),
-                "the good probe never ticked — the monitor died with the bad one"
-            );
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        monitor(catalog, probes)();
         let snap = sjpl_obs::snapshot();
+        assert!(
+            snap.gauge("serve.drift.rel_error.good").is_some(),
+            "the good probe never ticked after the bad one panicked"
+        );
         assert!(
             snap.counters
                 .iter()
@@ -388,22 +301,5 @@ mod tests {
             "contained panics must be counted"
         );
         assert!(snap.events.iter().any(|e| e.name == "serve.panic"));
-        mon.shutdown();
-    }
-
-    #[test]
-    fn monitor_spawns_and_shuts_down_quickly() {
-        let catalog = Arc::new(Mutex::new(LawCatalog::new()));
-        let mon = DriftMonitor::spawn(
-            catalog,
-            Vec::new(),
-            DriftConfig {
-                interval: Duration::from_secs(3600),
-                ..DriftConfig::default()
-            },
-        );
-        let t0 = std::time::Instant::now();
-        mon.shutdown(); // must not wait out the hour-long interval
-        assert!(t0.elapsed() < Duration::from_secs(5));
     }
 }

@@ -57,7 +57,7 @@
 //! [`sjpl_obs::tsdb::Tsdb`] ring store (memory bound: capacity × series
 //! samples), queryable over `GET /query`. The [`alerts::AlertEngine`]
 //! evaluates declarative rules (`--alert 'name: expr op threshold for
-//! 30s'`) plus built-in multi-window SLO burn-rate and drift-breach rules
+//! 30s'`) plus built-in multi-window SLO burn-rate and drift rules
 //! on every scrape tick; alert states are served on `GET /alerts`, as
 //! `ALERTS{alertname,state}` series on `/metrics`, and in the `/snapshot`
 //! `alerts` section. `sjpl dash` is the human consumer. A tick and a
@@ -70,11 +70,14 @@
 //! A stored law can silently go stale as data changes. The [`drift`]
 //! monitor re-checks each probed law against a ground-truth oracle
 //! (typically the paper's §4.3 sampling trick — an exact join over a
-//! fixed sample scaled back up) on a rolling window, publishing
-//! `serve.drift.rel_error.<law>` / `serve.drift.breached.<law>` gauges
-//! and a `serve.drift.breach` event when the mean error exceeds the
-//! configured budget. `/metrics` therefore surfaces estimator
-//! *trustworthiness*, not just traffic.
+//! fixed sample scaled back up) and publishes the rolling mean error as
+//! `serve.drift.rel_error.<law>`. Deciding is one place: the built-in
+//! `drift-<law>` alert rule compares that mean with the configured budget
+//! on every scraper tick and writes `serve.drift.breached.<law>` (1
+//! exactly while the rule is pending or firing), the
+//! `serve.drift.breaches` counter and the `serve.drift.breach` event.
+//! `/metrics` therefore surfaces estimator *trustworthiness*, not just
+//! traffic.
 //!
 //! ## Overload protection & failure containment
 //!
@@ -96,10 +99,10 @@
 //!
 //! [`Server::begin_drain`] flips `/readyz` to `503 + Retry-After` so load
 //! balancers stop routing; [`Server::shutdown`] does that, optionally
-//! waits out [`ServeConfig::drain_grace`], then raises a stop flag, wakes
-//! every worker blocked in `accept`, and joins them; workers complete
-//! their in-flight request first, so the join doubles as the connection
-//! drain.
+//! waits out [`ServeConfig::drain_grace`], then raises the daemon's one
+//! stop flag, wakes every worker blocked in `accept`, and joins them and
+//! the scraper and drift threads; workers complete their in-flight
+//! request first, so the join doubles as the connection drain.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -112,7 +115,7 @@ mod server;
 pub mod slo;
 
 pub use alerts::{AlertEngine, AlertRule};
-pub use drift::{DriftConfig, DriftMonitor, DriftProbe};
+pub use drift::{DriftConfig, DriftProbe};
 pub use fault::FaultPlan;
 pub use server::{endpoint_labels, ServeConfig, Server};
 pub use slo::SloSpec;

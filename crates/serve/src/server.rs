@@ -57,12 +57,12 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime};
 
 use sjpl_core::LawCatalog;
-use sjpl_obs::json::{escape, Json};
+use sjpl_obs::json::{escape, number, Json};
 use sjpl_obs::tsdb::{QueryExpr, SeriesKind, Tsdb, TsdbStats};
 use sjpl_obs::Snapshot;
 
 use crate::alerts::{AlertEngine, AlertRule, SLO_GOOD_PREFIX, SLO_TOTAL_PREFIX};
-use crate::drift::{DriftConfig, DriftMonitor, DriftProbe};
+use crate::drift::{DriftConfig, DriftProbe};
 use crate::fault::{FaultKind, FaultPlan, Stage as FaultStage};
 use crate::http::{read_request, Request, Response};
 use crate::slo::SloSpec;
@@ -91,7 +91,8 @@ pub struct ServeConfig {
     pub threads: usize,
     /// Drift-monitor probes (empty disables the monitor thread).
     pub probes: Vec<DriftProbe>,
-    /// Drift-monitor tuning.
+    /// Drift-monitor tuning: the probe interval, and the error budget the
+    /// built-in `drift-<law>` rules evaluate.
     pub drift: DriftConfig,
     /// Per-endpoint SLOs. Each gets a built-in burn-rate alert rule, which
     /// publishes the windowed `serve.slo.*` gauges once per
@@ -138,7 +139,7 @@ pub struct ServeConfig {
     /// series × 16` bytes).
     pub tsdb_capacity: usize,
     /// Declarative alert rules (`--alert`), evaluated alongside the
-    /// built-in SLO burn-rate and drift-breach rules.
+    /// built-in SLO burn-rate and drift rules.
     pub alerts: Vec<AlertRule>,
 }
 
@@ -167,9 +168,10 @@ impl Default for ServeConfig {
     }
 }
 
-/// A condvar-backed stop flag: workers poll [`StopFlag::is_raised`] (one
-/// relaxed-ish atomic load), while [`Server::wait`] blocks on the condvar
-/// and wakes the instant [`StopFlag::raise`] runs — no sleep-poll
+/// The daemon's one stop mechanism, a condvar-backed flag: workers poll
+/// [`StopFlag::is_raised`] (one atomic load), while [`Server::wait`] and
+/// the periodic threads' [`StopFlag::wait_timeout`] block on the condvar
+/// and wake the instant [`StopFlag::raise`] runs — no sleep-poll
 /// quantization on shutdown latency.
 struct StopFlag {
     raised: AtomicBool,
@@ -202,6 +204,44 @@ impl StopFlag {
             raised = self.cv.wait(raised).unwrap_or_else(|p| p.into_inner());
         }
     }
+
+    /// Waits until the flag is raised or `timeout` passes; returns whether
+    /// it is raised.
+    fn wait_timeout(&self, timeout: Duration) -> bool {
+        let raised = self.state.lock().unwrap_or_else(|p| p.into_inner());
+        let (raised, _) = self
+            .cv
+            .wait_timeout_while(raised, timeout, |raised| !*raised)
+            .unwrap_or_else(|p| p.into_inner());
+        *raised
+    }
+}
+
+/// Spawns a background thread that runs `tick` now and then once per
+/// `interval` until `stop` is raised. A panicking tick costs that tick,
+/// not the thread (uncontained, the gauges it feeds would silently
+/// freeze), and the wait is condvar-backed, so shutdown never waits out
+/// the interval.
+fn spawn_periodic(
+    name: &str,
+    interval: Duration,
+    stop: Arc<StopFlag>,
+    mut tick: impl FnMut() + Send + 'static,
+) -> JoinHandle<()> {
+    let interval = interval.max(Duration::from_millis(1));
+    let name = name.to_owned();
+    std::thread::Builder::new()
+        .name(name.clone())
+        .spawn(move || loop {
+            if catch_unwind(AssertUnwindSafe(&mut tick)).is_err() {
+                sjpl_obs::counter_add("serve.panics", 1);
+                sjpl_obs::event("serve.panic", format!("{name} tick panicked"));
+            }
+            if stop.wait_timeout(interval) {
+                return;
+            }
+        })
+        .expect("spawn periodic thread")
 }
 
 /// A gauge whose published value always reflects the *current* count:
@@ -428,14 +468,15 @@ impl Read for DeadlineStream {
 }
 
 /// A running server: N worker threads sharing one listener, a telemetry
-/// scraper thread, plus an optional drift-monitor thread. Stop it with
-/// [`Server::shutdown`].
+/// scraper thread, plus an optional drift-monitor thread, all stopped by
+/// one [`StopFlag`]. Stop it with [`Server::shutdown`]; dropping the
+/// handle raises the flag without joining.
 pub struct Server {
     addr: SocketAddr,
     stop: Arc<StopFlag>,
     workers: Vec<JoinHandle<()>>,
-    drift: Option<DriftMonitor>,
-    scraper: Option<Scraper>,
+    /// The scraper and the drift monitor ([`spawn_periodic`] threads).
+    periodic: Vec<JoinHandle<()>>,
     shared: Arc<Shared>,
     /// Whether `start` launched the continuous profiler (and `shutdown`
     /// should therefore stop it).
@@ -516,15 +557,15 @@ impl Server {
             cfg.max_inflight
         };
         // The full rule set: user rules, then one burn-rate rule per SLO
-        // and one drift-breach rule per probed law, windowed off the
-        // scrape cadence.
+        // (windowed off the scrape cadence) and one drift rule per probed
+        // law.
         let interval_ms = (cfg.metrics_interval.as_millis() as u64).max(1);
         let mut rules = cfg.alerts;
         for spec in &cfg.slos {
             rules.push(AlertRule::burn_rate(spec, interval_ms));
         }
         for probe in &cfg.probes {
-            rules.push(AlertRule::drift(&probe.law_name, interval_ms * 16));
+            rules.push(AlertRule::drift(&probe.law_name, cfg.drift.error_budget));
         }
         let shared = Arc::new(Shared {
             catalog: Arc::clone(&catalog),
@@ -563,19 +604,28 @@ impl Server {
             );
         }
 
-        let drift = if cfg.probes.is_empty() {
-            None
-        } else {
-            Some(DriftMonitor::spawn(catalog, cfg.probes, cfg.drift))
-        };
-        let scraper = Some(Scraper::spawn(Arc::clone(&shared), cfg.metrics_interval));
+        let mut prev = TsdbStats::default();
+        let scraper = Arc::clone(&shared);
+        let mut periodic = vec![spawn_periodic(
+            "sjpl-scrape",
+            cfg.metrics_interval,
+            Arc::clone(&stop),
+            move || scrape_tick(&scraper, &mut prev),
+        )];
+        if !cfg.probes.is_empty() {
+            periodic.push(spawn_periodic(
+                "sjpl-drift",
+                cfg.drift.interval,
+                Arc::clone(&stop),
+                crate::drift::monitor(catalog, cfg.probes),
+            ));
+        }
 
         Ok(Server {
             addr,
             stop,
             workers,
-            drift,
-            scraper,
+            periodic,
             shared,
             profiler_started,
             drain_grace: cfg.drain_grace,
@@ -621,11 +671,8 @@ impl Server {
             }
             let _ = w.join();
         }
-        if let Some(s) = self.scraper.take() {
-            s.shutdown();
-        }
-        if let Some(d) = self.drift.take() {
-            d.shutdown();
+        for t in self.periodic.drain(..) {
+            let _ = t.join();
         }
         if self.profiler_started {
             // Folds the run's samples into the `prof.*` counters and keeps
@@ -650,70 +697,12 @@ impl Server {
     }
 }
 
-/// The telemetry scraper thread: every [`ServeConfig::metrics_interval`]
-/// it snapshots the recorder into the [`Tsdb`], maintains the synthetic
-/// per-SLO good/total series, and runs the alert engine. Same lifecycle
-/// discipline as [`DriftMonitor`]: ticks are panic-contained, the wait is
-/// condvar-backed (shutdown never waits out the interval), and dropping
-/// the handle signals the thread without blocking on the join.
-struct Scraper {
-    stop: Arc<(Mutex<bool>, Condvar)>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl Scraper {
-    fn spawn(shared: Arc<Shared>, interval: Duration) -> Scraper {
-        let stop = Arc::new((Mutex::new(false), Condvar::new()));
-        let stop2 = Arc::clone(&stop);
-        let interval = interval.max(Duration::from_millis(1));
-        let handle = std::thread::Builder::new()
-            .name("sjpl-scrape".to_owned())
-            .spawn(move || {
-                let mut prev = TsdbStats::default();
-                loop {
-                    // A panicking tick must cost one scrape, not the whole
-                    // pipeline: uncontained, alerts silently stop updating.
-                    let tick = catch_unwind(AssertUnwindSafe(|| {
-                        scrape_tick(&shared, &mut prev);
-                    }));
-                    if tick.is_err() {
-                        sjpl_obs::counter_add("serve.panics", 1);
-                        sjpl_obs::event("serve.panic", "telemetry scrape tick panicked");
-                    }
-                    let (lock, cv) = &*stop2;
-                    let guard = lock.lock().unwrap_or_else(|p| p.into_inner());
-                    let (guard, _) = cv
-                        .wait_timeout_while(guard, interval, |stopped| !*stopped)
-                        .unwrap_or_else(|p| p.into_inner());
-                    if *guard {
-                        return;
-                    }
-                }
-            })
-            .expect("spawn scraper thread");
-        Scraper {
-            stop,
-            handle: Some(handle),
-        }
-    }
-
-    fn shutdown(mut self) {
-        self.signal_stop();
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-
-    fn signal_stop(&self) {
-        let (lock, cv) = &*self.stop;
-        *lock.lock().unwrap_or_else(|p| p.into_inner()) = true;
-        cv.notify_all();
-    }
-}
-
-impl Drop for Scraper {
+impl Drop for Server {
     fn drop(&mut self) {
-        self.signal_stop();
+        // Best effort when `shutdown` was never called: every thread exits
+        // at its next wait or accept, but the dropping thread never blocks
+        // on a join.
+        self.stop.raise();
     }
 }
 
@@ -962,10 +951,7 @@ fn access_log(
     let Some(log) = &shared.access_log else {
         return;
     };
-    let ts_ms = SystemTime::now()
-        .duration_since(SystemTime::UNIX_EPOCH)
-        .map(|d| d.as_millis())
-        .unwrap_or(0);
+    let ts_ms = now_ms();
     let line = format!(
         "{{\"ts_ms\":{ts_ms},\"request_id\":{request_id},\"remote\":{remote},\
          \"method\":\"{method}\",\"path\":\"{path}\",\"endpoint\":\"{endpoint}\",\
@@ -1382,14 +1368,14 @@ fn route(req: &Request, shared: &Shared, request_id: u64, deadline: Option<Insta
                     let samples: Vec<String> = r
                         .samples
                         .iter()
-                        .map(|&(ts, v)| format!("[{}, {}]", ts, jf(v)))
+                        .map(|&(ts, v)| format!("[{}, {}]", ts, number(v)))
                         .collect();
                     Routed::plain(Response::json(format!(
                         "{{\"expr\": \"{}\", \"series\": \"{}\", \"value\": {}, \
                          \"samples\": [{}]}}\n",
                         escape(&percent_decode(raw)),
                         escape(expr.name()),
-                        jf(r.value),
+                        number(r.value),
                         samples.join(", "),
                     )))
                 }
@@ -1565,31 +1551,22 @@ fn estimate(req: &Request, shared: &Shared, request_id: u64) -> Routed {
         ),
         rid = request_id,
         law = escape(law_name),
-        radius = jf(radius),
-        pc = jf(law.pair_count(radius)),
-        sel = jf(law.selectivity(radius)),
+        radius = number(radius),
+        pc = number(law.pair_count(radius)),
+        sel = number(law.selectivity(radius)),
         in_range = law.in_fitted_range(radius),
-        k = jf(p.k),
-        alpha = jf(p.alpha),
-        r2 = jf(p.r_squared),
-        rmse = jf(p.rmse_log10),
+        k = number(p.k),
+        alpha = number(p.alpha),
+        r2 = number(p.r_squared),
+        rmse = number(p.rmse_log10),
         pts = p.points_used,
-        xlo = jf(p.x_lo),
-        xhi = jf(p.x_hi),
+        xlo = number(p.x_lo),
+        xhi = number(p.x_hi),
         kind = p.kind_label(),
         n = p.n,
         m = p.m,
     );
     routed(Response::json(body))
-}
-
-/// JSON-safe float formatting (no NaN/Inf in JSON).
-fn jf(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_owned()
-    }
 }
 
 #[cfg(test)]
@@ -1825,6 +1802,36 @@ mod tests {
         let t0 = Instant::now();
         flag.wait();
         assert!(t0.elapsed() < Duration::from_millis(50));
+    }
+
+    #[test]
+    fn shutdown_does_not_wait_out_the_periodic_intervals() {
+        let server = Server::start(
+            Arc::new(Mutex::new(sjpl_core::LawCatalog::new())),
+            ServeConfig {
+                threads: 1,
+                probes: vec![DriftProbe {
+                    law_name: "absent".into(),
+                    radii: vec![0.1],
+                    truth: Arc::new(|_| 1.0),
+                }],
+                drift: DriftConfig {
+                    interval: Duration::from_secs(30),
+                    ..DriftConfig::default()
+                },
+                metrics_interval: Duration::from_secs(5),
+                ..ServeConfig::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(server.periodic.len(), 2, "scraper and drift threads");
+        let t0 = Instant::now();
+        server.shutdown();
+        assert!(
+            t0.elapsed() < Duration::from_secs(1),
+            "shutdown took {:?}",
+            t0.elapsed()
+        );
     }
 
     #[test]

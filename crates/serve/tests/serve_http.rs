@@ -371,8 +371,9 @@ fn drift_monitor_flags_a_perturbed_law() {
             drift: DriftConfig {
                 interval: Duration::from_millis(25),
                 error_budget: 1.0,
-                window: 3,
             },
+            // The drift rule writes breached/breaches on scraper ticks.
+            metrics_interval: Duration::from_millis(50),
             ..ServeConfig::default()
         },
     )
