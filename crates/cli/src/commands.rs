@@ -75,7 +75,7 @@ options:
   --ratio <x>          BOPS grid-side shrink factor   [default 0.5; 0.8 if dim > 6]
   --metric <m>         l1 | l2 | linf | <p>           [default linf]
   --threads <n>        worker threads for PC plots, BOPS and the par-sweep
-                       join (SJPL_JOIN_THREADS also honored) [default: all CPUs]
+                       join; 0 means all CPUs            [default: all CPUs]
   --method <m>         pc | bops (estimate, catalog-add)  [default bops]
   --algo <a>           nested-loop | kd-tree | plane-sweep | par-sweep
                                                     [default par-sweep]
@@ -594,7 +594,10 @@ fn catalog_add_typed<const D: usize>(orig: &Options, data_opts: &Options) -> Res
         ratio: orig.ratio.unwrap_or(if D > 6 { 0.8 } else { 0.5 }),
         threads: orig.threads.unwrap_or(0),
     };
-    let pc_cfg = PcPlotConfig::default();
+    let pc_cfg = PcPlotConfig {
+        threads: orig.threads.unwrap_or(0),
+        ..PcPlotConfig::default()
+    };
     let fit_opts = FitOptions::default();
     let law = match (orig.method.as_deref().unwrap_or("bops"), &b) {
         ("bops", Some(b)) => bops_plot_cross(&a, b, &bops_cfg).and_then(|p| {
@@ -771,9 +774,7 @@ fn run_typed<const D: usize>(o: &Options, kind: CmdKind) -> Result<(), String> {
         metric,
         bins: o.bins.unwrap_or(40),
         radius_range: None,
-        threads: o
-            .threads
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get())),
+        threads: o.threads.unwrap_or(0),
     };
     // High embedding dimensions need the gentler grid-side schedule or the
     // dyadic levels jump straight from "one occupied cell" to "all

@@ -52,6 +52,7 @@
 use std::ops::{BitOr, Shl};
 
 use sjpl_geom::{NormalizeInfo, Point, PointSet};
+use sjpl_index::par::{fan_out, workers};
 use sjpl_index::{par_sort_unstable, MortonKey};
 use sjpl_stats::{fit_loglog, FitOptions};
 
@@ -346,57 +347,29 @@ fn key_schedule_observed<const D: usize>(cfg: &BopsConfig) -> (KeySchedule, Opti
     (schedule, reason)
 }
 
-fn resolve_threads(threads: usize) -> usize {
-    if threads == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        threads
-    }
-}
-
 /// Don't fan work out below this many points per thread — thread spawns
 /// would dominate.
 const MIN_POINTS_PER_THREAD: usize = 4096;
 
-fn data_threads(len: usize, threads: usize) -> usize {
-    threads.max(1).min((len / MIN_POINTS_PER_THREAD).max(1))
-}
-
 /// Runs `count_level` for every level, striping levels across up to
-/// `threads` workers (each level is an independent count). Each worker's
-/// levels are timed as a `bops.scan.worker` span parented under `ctx` (the
-/// enclosing `bops.scan` span), so the flight-recorder timeline shows the
-/// per-thread stripe durations — the partition-skew view.
+/// `threads` workers (each level is an independent count). Each spawned
+/// worker's levels are timed as a `bops.scan.worker` span parented under
+/// `ctx` (the enclosing `bops.scan` span), so the flight-recorder timeline
+/// shows the per-thread stripe durations — the partition-skew view.
 fn per_level<F>(levels: u32, threads: usize, ctx: sjpl_obs::SpanContext, count_level: F) -> Vec<u64>
 where
     F: Fn(u32) -> u64 + Sync,
 {
-    let t = threads.max(1).min(levels as usize);
-    if t <= 1 {
-        return (0..levels).map(&count_level).collect();
-    }
+    let t = workers(levels as usize, 1, threads);
+    let stripes = fan_out(0..t as u32, |w| {
+        let _worker = (t > 1).then(|| sjpl_obs::span_under("bops.scan.worker", ctx));
+        (w..levels).step_by(t).map(&count_level).collect::<Vec<_>>()
+    });
     let mut values = vec![0u64; levels as usize];
-    let count_level = &count_level;
-    let partials = crossbeam::thread::scope(|sc| {
-        let handles: Vec<_> = (0..t)
-            .map(|w| {
-                sc.spawn(move |_| {
-                    let _worker = sjpl_obs::span_under("bops.scan.worker", ctx);
-                    (w as u32..levels)
-                        .step_by(t)
-                        .map(|i| (i, count_level(i)))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("level worker panicked"))
-            .collect::<Vec<_>>()
-    })
-    .expect("crossbeam scope failed");
-    for (i, v) in partials.into_iter().flatten() {
-        values[i as usize] = v;
+    for (w, stripe) in stripes.into_iter().enumerate() {
+        for (j, v) in stripe.into_iter().enumerate() {
+            values[w + j * t] = v;
+        }
     }
     values
 }
@@ -464,27 +437,19 @@ fn morton_keys<K: MortonKey, const D: usize>(
 ) -> Vec<K> {
     let s = 0.5f64.powi(levels as i32);
     let cells = 1u64 << levels;
-    let key_of = |p: &Point<D>| K::interleave(&cell_key(p, cells, s), levels);
     let mut keys = vec![K::default(); pts.len()];
-    let t = data_threads(pts.len(), threads);
-    if t <= 1 {
-        for (k, p) in keys.iter_mut().zip(pts) {
-            *k = key_of(p);
+    let chunk = pts
+        .len()
+        .div_ceil(workers(pts.len(), MIN_POINTS_PER_THREAD, threads))
+        .max(1);
+    let chunks = keys.chunks_mut(chunk).zip(pts.chunks(chunk));
+    // `move`: the key parameters travel by value, so the loop keeps them in
+    // registers instead of reloading them through a captured reference.
+    fan_out(chunks, move |(kc, pc)| {
+        for (k, p) in kc.iter_mut().zip(pc) {
+            *k = K::interleave(&cell_key(p, cells, s), levels);
         }
-    } else {
-        let chunk = pts.len().div_ceil(t);
-        let key_of = &key_of;
-        crossbeam::thread::scope(|sc| {
-            for (kc, pc) in keys.chunks_mut(chunk).zip(pts.chunks(chunk)) {
-                sc.spawn(move |_| {
-                    for (k, p) in kc.iter_mut().zip(pc) {
-                        *k = key_of(p);
-                    }
-                });
-            }
-        })
-        .expect("morton-key worker panicked");
-    }
+    });
     keys
 }
 
@@ -663,14 +628,13 @@ fn plot<const D: usize>(
     let nb = b.map(|b| b.normalized(&info));
     normalize.close();
     let (pa, pb) = (na.points(), nb.as_ref().map(PointSet::points));
-    let threads = resolve_threads(cfg.threads);
     let sides = cfg.sides();
     let values = match schedule {
-        KeySchedule::Morton64 => morton_values::<u64, D>(pa, pb, cfg.levels, threads),
-        KeySchedule::Morton128 => morton_values::<u128, D>(pa, pb, cfg.levels, threads),
+        KeySchedule::Morton64 => morton_values::<u64, D>(pa, pb, cfg.levels, cfg.threads),
+        KeySchedule::Morton128 => morton_values::<u128, D>(pa, pb, cfg.levels, cfg.threads),
         KeySchedule::PerLevel => {
             let scan = sjpl_obs::span("bops.scan");
-            per_level(cfg.levels, threads, scan.context(), |i| {
+            per_level(cfg.levels, cfg.threads, scan.context(), |i| {
                 per_level_count(pa, pb, sides[i as usize])
             })
         }

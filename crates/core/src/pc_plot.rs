@@ -17,7 +17,8 @@ pub struct PcPlotConfig {
     /// Radius range `(r_lo, r_hi)`; `None` picks
     /// `[diameter/10⁴, diameter]` from the joint bounding box.
     pub radius_range: Option<(f64, f64)>,
-    /// Worker threads for the quadratic pass (1 = sequential).
+    /// Worker threads for the quadratic pass: `1` is sequential, `0` (the
+    /// default) means one per available CPU.
     pub threads: usize,
 }
 
@@ -27,7 +28,7 @@ impl Default for PcPlotConfig {
             metric: Metric::Linf,
             bins: 40,
             radius_range: None,
-            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            threads: 0,
         }
     }
 }
@@ -286,6 +287,24 @@ mod tests {
             let diff = (c as i64 - exact as i64).unsigned_abs();
             assert!(diff <= 1 + exact / 1000, "r={r}: {c} vs {exact}");
         }
+    }
+
+    #[test]
+    fn auto_threads_plot_equals_the_sequential_plot() {
+        // 0 (the default) is one worker per CPU; enough rows to clear the
+        // histogram's per-worker floor, so a multi-CPU host really fans out.
+        assert_eq!(PcPlotConfig::default().threads, 0);
+        let a = uniform(2_500, 7);
+        let b = uniform(300, 8);
+        let at = |threads| PcPlotConfig {
+            bins: 16,
+            threads,
+            ..Default::default()
+        };
+        let (auto, seq) = (pc_plot_self(&a, &at(0)), pc_plot_self(&a, &at(1)));
+        assert_eq!(auto.unwrap().counts(), seq.unwrap().counts());
+        let (auto, seq) = (pc_plot_cross(&a, &b, &at(0)), pc_plot_cross(&a, &b, &at(1)));
+        assert_eq!(auto.unwrap().counts(), seq.unwrap().counts());
     }
 
     #[test]

@@ -5,24 +5,19 @@
 //! make a single O(N·M) pass that records every pair distance into a
 //! log-spaced [`LogHistogram`]; the histogram's cumulative counts then give
 //! `PC(r)` at every bin edge simultaneously. The pass is embarrassingly
-//! parallel, so a multi-threaded variant (crossbeam scoped threads) is
+//! parallel, so a multi-threaded variant (on [`crate::par::fan_out`]) is
 //! provided for the Table 5 timing experiments.
 
 use sjpl_geom::{Metric, Point};
 use sjpl_stats::LogHistogram;
+
+use crate::par::{fan_out, workers};
 
 /// Minimum rows of `A` handed to one worker thread. Below this, the
 /// per-thread histogram clone + spawn + merge costs more than the chunk's
 /// distance computations, so the thread count is clamped down rather than
 /// fanning out tiny slices.
 pub const MIN_ROWS_PER_THREAD: usize = 1024;
-
-/// Threads that are actually worth spawning for `rows` outer-loop rows.
-fn effective_threads(rows: usize, threads: usize) -> usize {
-    threads
-        .max(1)
-        .min(rows.div_ceil(MIN_ROWS_PER_THREAD).max(1))
-}
 
 /// Sequential exact pass: records the distance of every cross pair
 /// `(a, b) ∈ A × B` into `hist`.
@@ -55,10 +50,11 @@ pub fn self_distance_histogram<const D: usize>(
     }
 }
 
-/// Multi-threaded exact cross pass: splits `A` into chunks, one histogram
-/// clone per thread, merged at the end. Exact same counts as the sequential
-/// version. The thread count is clamped so no worker gets fewer than
-/// [`MIN_ROWS_PER_THREAD`] rows of `A`.
+/// Multi-threaded exact cross pass: splits `A` into chunks, one empty
+/// histogram per worker, merged into `hist` at the end. Exact same counts
+/// as the sequential version. `threads = 0` means one worker per CPU; the
+/// count is clamped so no worker gets fewer than [`MIN_ROWS_PER_THREAD`]
+/// rows of `A`.
 pub fn par_cross_distance_histogram<const D: usize>(
     a: &[Point<D>],
     b: &[Point<D>],
@@ -66,30 +62,14 @@ pub fn par_cross_distance_histogram<const D: usize>(
     hist: &mut LogHistogram,
     threads: usize,
 ) {
-    let threads = effective_threads(a.len(), threads);
-    if threads == 1 {
-        cross_distance_histogram(a, b, metric, hist);
-        return;
-    }
-    let chunk = a.len().div_ceil(threads);
-    let proto = hist.clone();
-    let partials = crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = a
-            .chunks(chunk)
-            .map(|part| {
-                let mut local = proto.clone();
-                s.spawn(move |_| {
-                    cross_distance_histogram(part, b, metric, &mut local);
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("histogram worker panicked"))
-            .collect::<Vec<_>>()
-    })
-    .expect("crossbeam scope failed");
+    let threads = workers(a.len(), MIN_ROWS_PER_THREAD, threads);
+    let empty = empty_like(hist);
+    let chunks = a.chunks(a.len().div_ceil(threads).max(1));
+    let partials = fan_out(chunks, |rows| {
+        let mut local = empty.clone();
+        cross_distance_histogram(rows, b, metric, &mut local);
+        local
+    });
     for p in &partials {
         hist.merge(p);
     }
@@ -98,45 +78,36 @@ pub fn par_cross_distance_histogram<const D: usize>(
 /// Multi-threaded exact self pass. Work is split by strided rows (row `i`
 /// costs `n − i − 1` inner iterations, so contiguous chunks would be badly
 /// unbalanced; striding balances within ~1 row). The thread count is
-/// clamped as in [`par_cross_distance_histogram`].
+/// resolved and clamped as in [`par_cross_distance_histogram`].
 pub fn par_self_distance_histogram<const D: usize>(
     a: &[Point<D>],
     metric: Metric,
     hist: &mut LogHistogram,
     threads: usize,
 ) {
-    let threads = effective_threads(a.len(), threads);
-    if threads == 1 {
-        self_distance_histogram(a, metric, hist);
-        return;
-    }
-    let proto = hist.clone();
-    let partials = crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let mut local = proto.clone();
-                s.spawn(move |_| {
-                    let mut i = t;
-                    while i < a.len() {
-                        let pi = &a[i];
-                        for pj in &a[i + 1..] {
-                            local.record(metric.dist(pi, pj));
-                        }
-                        i += threads;
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("histogram worker panicked"))
-            .collect::<Vec<_>>()
-    })
-    .expect("crossbeam scope failed");
+    let threads = workers(a.len(), MIN_ROWS_PER_THREAD, threads);
+    let empty = empty_like(hist);
+    let partials = fan_out(0..threads, move |t| {
+        let mut local = empty.clone();
+        for i in (t..a.len()).step_by(threads) {
+            let pi = &a[i];
+            for pj in &a[i + 1..] {
+                local.record(metric.dist(pi, pj));
+            }
+        }
+        local
+    });
     for p in &partials {
         hist.merge(p);
     }
+}
+
+/// A histogram with `hist`'s geometry and no counts: the workers' partials
+/// must not carry what `hist` already holds, or the merge would count it
+/// once per worker.
+fn empty_like(hist: &LogHistogram) -> LogHistogram {
+    LogHistogram::new(hist.lo(), hist.hi(), hist.bins())
+        .expect("an existing histogram's geometry is valid")
 }
 
 #[cfg(test)]
@@ -220,15 +191,41 @@ mod tests {
     }
 
     #[test]
+    fn parallel_passes_add_to_a_histogram_that_already_holds_counts() {
+        let a: Vec<Point<2>> = (0..MIN_ROWS_PER_THREAD + 100)
+            .map(|i| Point([(i % 61) as f64, (i % 37) as f64]))
+            .collect();
+        let b = grid_points(3);
+        let fresh = || {
+            let mut h = LogHistogram::new(1e-2, 100.0, 20).unwrap();
+            h.record(0.5);
+            h
+        };
+        let (mut cs, mut ss) = (fresh(), fresh());
+        cross_distance_histogram(&a, &b, Metric::L2, &mut cs);
+        self_distance_histogram(&a, Metric::L2, &mut ss);
+        for threads in [1, 2, 3] {
+            let (mut cp, mut sp) = (fresh(), fresh());
+            par_cross_distance_histogram(&a, &b, Metric::L2, &mut cp, threads);
+            par_self_distance_histogram(&a, Metric::L2, &mut sp, threads);
+            assert_eq!(cp.counts(), cs.counts(), "cross, threads = {threads}");
+            assert_eq!(sp.counts(), ss.counts(), "self, threads = {threads}");
+        }
+    }
+
+    #[test]
     fn thread_count_clamps_to_min_chunk_rows() {
         // Below one chunk's worth of rows everything collapses to 1 thread;
         // beyond that, one thread per started chunk, never more than asked.
-        assert_eq!(effective_threads(0, 8), 1);
-        assert_eq!(effective_threads(MIN_ROWS_PER_THREAD, 8), 1);
-        assert_eq!(effective_threads(MIN_ROWS_PER_THREAD + 1, 8), 2);
-        assert_eq!(effective_threads(10 * MIN_ROWS_PER_THREAD, 4), 4);
-        assert_eq!(effective_threads(3 * MIN_ROWS_PER_THREAD, 64), 3);
-        assert_eq!(effective_threads(usize::MAX, 0), 1);
+        let rows = |n, threads| workers(n, MIN_ROWS_PER_THREAD, threads);
+        assert_eq!(rows(0, 8), 1);
+        assert_eq!(rows(MIN_ROWS_PER_THREAD, 8), 1);
+        assert_eq!(rows(MIN_ROWS_PER_THREAD + 1, 8), 2);
+        assert_eq!(rows(10 * MIN_ROWS_PER_THREAD, 4), 4);
+        assert_eq!(rows(3 * MIN_ROWS_PER_THREAD, 64), 3);
+        // 0 is auto: one worker per CPU, still under the row floor.
+        assert_eq!(rows(MIN_ROWS_PER_THREAD, 0), 1);
+        assert!(rows(usize::MAX, 0) >= 1);
     }
 
     #[test]

@@ -22,8 +22,8 @@ pub enum JoinAlgorithm {
     PlaneSweep,
     /// Partitioned parallel plane sweep: rank-striped slabs along axis 0,
     /// boundary-band replication with dedup-by-ownership, per-slab forward
-    /// sweeps on scoped threads (thread count auto-resolved; see
-    /// [`crate::partition::resolve_threads`]).
+    /// sweeps on scoped threads, one worker per available CPU (see
+    /// [`crate::par::workers`]).
     ParSweep,
 }
 

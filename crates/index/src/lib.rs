@@ -22,7 +22,9 @@
 //!   engines above, used by the agreement tests and the benchmarks.
 //! * [`morton`] — the [`MortonKey`] interleaving trait behind sjpl-core's
 //!   BOPS keys on the paper's dyadic grid schedule.
-//! * [`psort`] — parallel chunk-sort + merge for `Ord + Copy` arrays.
+//! * [`par`] — the parallel primitives every kernel above and sjpl-core's
+//!   BOPS share: the [`par::workers`] thread-count rule, the scoped
+//!   [`par::fan_out`], and a parallel chunk-sort + merge.
 //!
 //! Pair-count semantics follow the paper exactly: cross joins count ordered
 //! `(a, b)` pairs (up to `N·M`); self joins omit self-pairs and count each
@@ -41,16 +43,16 @@ pub mod histogram;
 pub mod join;
 pub mod kdtree;
 pub mod morton;
+pub mod par;
 pub mod partition;
-pub mod psort;
 pub mod sweep;
 
 pub use join::{pair_count, self_pair_count, JoinAlgorithm};
 pub use kdtree::KdTree;
 pub use morton::MortonKey;
+pub use par::par_sort_unstable;
 pub use partition::{
     par_sweep_join_count, par_sweep_join_count_sorted, par_sweep_self_join_count,
-    par_sweep_self_join_count_sorted, resolve_threads,
+    par_sweep_self_join_count_sorted,
 };
-pub use psort::par_sort_unstable;
 pub use sweep::SortedByAxis;

@@ -17,7 +17,8 @@
 //!    pair `(a, b)` only by the slab that owns `a`. Every pair is counted
 //!    exactly once, so the total is bit-identical to the nested loop for
 //!    every thread count — no merge-time dedup structure needed.
-//! 4. **Per-slab workers** on `std::thread::scope`, one slab per worker.
+//! 4. **Per-slab workers** on [`crate::par::fan_out`], one slab per worker,
+//!    `K` from [`crate::par::workers`] with a floor of 4096 owned points.
 //! 5. **Strip sweep inside each slab.** A slab's working set is bucketed
 //!    into horizontal strips of height `h ≥ r` along axis 1 by one stable
 //!    counting pass over `u32` indices, so every strip keeps the axis-0
@@ -40,45 +41,16 @@
 
 use sjpl_geom::{Metric, Point};
 
+use crate::par::workers;
 use crate::sweep::SortedByAxis;
 
 /// Below this many owned points per slab, extra slabs cost more than they
-/// save (mirrors `psort::MIN_CHUNK` thinking at join granularity).
+/// save.
 const MIN_SLAB_POINTS: usize = 4096;
 
 /// Relative margin of the strip height over `r` (`h ≥ r·(1 + 2⁻¹⁶)`); see
 /// [`Strips`] for why it makes the strip test exact.
 const STRIP_MARGIN: f64 = 1.0 / 65536.0;
-
-/// Resolves a thread-count request: `0` means "auto" — the
-/// `SJPL_JOIN_THREADS` environment variable if set to a positive integer
-/// (the knob CI uses to gate both the single- and multi-threaded paths),
-/// else one worker per available CPU.
-pub fn resolve_threads(threads: usize) -> usize {
-    if threads > 0 {
-        return threads;
-    }
-    if let Some(n) = std::env::var("SJPL_JOIN_THREADS")
-        .ok()
-        .and_then(|v| thread_override(&v))
-    {
-        return n;
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Parses an `SJPL_JOIN_THREADS` value: a positive integer, surrounding
-/// whitespace allowed; anything else (empty, zero, negative, junk) is no
-/// override.
-fn thread_override(v: &str) -> Option<usize> {
-    v.trim().parse::<usize>().ok().filter(|&n| n > 0)
-}
-
-/// Number of slabs actually worth cutting for `owned` points on `threads`
-/// workers.
-fn effective_slabs(owned: usize, threads: usize) -> usize {
-    threads.max(1).min(owned.div_ceil(MIN_SLAB_POINTS).max(1))
-}
 
 /// Per-worker tallies, accumulated locally (plain integers, no atomics)
 /// and published once after the join, `JoinStats`-style.
@@ -90,18 +62,18 @@ struct SlabStats {
     candidates: u64,
 }
 
-fn publish(slabs: usize, stats: &[SlabStats]) {
+fn publish(slabs: &[(u64, SlabStats)]) {
     if !sjpl_obs::enabled() {
         return;
     }
-    sjpl_obs::counter_add("join.par_sweep.slabs", slabs as u64);
+    sjpl_obs::counter_add("join.par_sweep.slabs", slabs.len() as u64);
     sjpl_obs::counter_add(
         "join.par_sweep.band_points",
-        stats.iter().map(|s| s.band_points).sum(),
+        slabs.iter().map(|(_, s)| s.band_points).sum(),
     );
     sjpl_obs::counter_add(
         "join.par_sweep.candidates",
-        stats.iter().map(|s| s.candidates).sum(),
+        slabs.iter().map(|(_, s)| s.candidates).sum(),
     );
 }
 
@@ -378,39 +350,27 @@ fn fan_out<W>(owned_len: usize, threads: usize, work: W) -> u64
 where
     W: Fn(usize, usize, &mut SlabStats) -> u64 + Sync,
 {
-    let k = effective_slabs(owned_len, threads);
-    let bounds: Vec<usize> = (0..=k).map(|i| i * owned_len / k).collect();
-    let mut counts = vec![0u64; k];
-    let mut stats = vec![SlabStats::default(); k];
-    {
+    let k = workers(owned_len, MIN_SLAB_POINTS, threads);
+    let slabs = {
         let sweep = sjpl_obs::span_with("join.sweep", || format!("slabs={k}"));
         let ctx = sweep.context();
-        if k == 1 {
-            // No point paying a spawn for a single slab.
-            counts[0] = work(bounds[0], bounds[1], &mut stats[0]);
-        } else {
-            std::thread::scope(|s| {
-                for (i, (c, st)) in counts.iter_mut().zip(stats.iter_mut()).enumerate() {
-                    let work = &work;
-                    let (si, ei) = (bounds[i], bounds[i + 1]);
-                    s.spawn(move || {
-                        let _worker = sjpl_obs::span_under("join.sweep.worker", ctx);
-                        *c = work(si, ei, st);
-                    });
-                }
-            });
-        }
-    }
+        crate::par::fan_out(0..k, |i| {
+            let _worker = (k > 1).then(|| sjpl_obs::span_under("join.sweep.worker", ctx));
+            let mut stats = SlabStats::default();
+            let count = work(i * owned_len / k, (i + 1) * owned_len / k, &mut stats);
+            (count, stats)
+        })
+    };
     let merge = sjpl_obs::span("join.merge");
-    let total = counts.iter().sum();
-    publish(k, &stats);
+    let total = slabs.iter().map(|(count, _)| count).sum();
+    publish(&slabs);
     merge.close();
     total
 }
 
 /// Counts unordered pairs within `r` (self-pairs omitted) with the
-/// partitioned parallel plane sweep. `threads = 0` means auto (see
-/// [`resolve_threads`]). Bit-identical to
+/// partitioned parallel plane sweep. `threads = 0` means one worker per
+/// CPU (see [`crate::par::workers`]). Bit-identical to
 /// [`crate::join::JoinAlgorithm::NestedLoop`] for every thread count.
 pub fn par_sweep_self_join_count<const D: usize>(
     a: &[Point<D>],
@@ -444,14 +404,14 @@ pub fn par_sweep_self_join_count_sorted<const D: usize>(
     if pts.len() < 2 || r.is_nan() || r < 0.0 {
         return 0;
     }
-    let threads = resolve_threads(threads);
     fan_out(pts.len(), threads, |si, ei, stats| {
         slab_self(pts, si, ei, r, metric, stats)
     })
 }
 
 /// Counts ordered pairs `(a, b)` with `dist ≤ r` with the partitioned
-/// parallel plane sweep. `threads = 0` means auto (see [`resolve_threads`]).
+/// parallel plane sweep. `threads = 0` means one worker per CPU (see
+/// [`crate::par::workers`]).
 pub fn par_sweep_join_count<const D: usize>(
     a: &[Point<D>],
     b: &[Point<D>],
@@ -485,7 +445,6 @@ pub fn par_sweep_join_count_sorted<const D: usize>(
     if pa.is_empty() || pb.is_empty() || r.is_nan() || r < 0.0 {
         return 0;
     }
-    let threads = resolve_threads(threads);
     fan_out(pa.len(), threads, |si, ei, stats| {
         slab_cross(pa, si, ei, pb, r, metric, stats)
     })
@@ -701,33 +660,11 @@ mod tests {
 
     #[test]
     fn effective_slabs_respects_floor() {
-        assert_eq!(effective_slabs(100, 8), 1);
-        assert_eq!(effective_slabs(MIN_SLAB_POINTS + 1, 8), 2);
-        assert_eq!(effective_slabs(10 * MIN_SLAB_POINTS, 4), 4);
-        assert_eq!(effective_slabs(0, 4), 1);
-    }
-
-    #[test]
-    fn resolve_threads_prefers_explicit_over_env() {
-        // No env manipulation here (tests run in parallel); just the
-        // explicit path.
-        assert_eq!(resolve_threads(3), 3);
-        assert!(resolve_threads(0) >= 1);
-    }
-
-    #[test]
-    fn thread_override_takes_positive_integers_only() {
-        for (v, want) in [
-            ("1", Some(1)),
-            ("3", Some(3)),
-            (" 8\n", Some(8)),
-            ("0", None),
-            ("-2", None),
-            ("", None),
-            ("four", None),
-            ("2.5", None),
-        ] {
-            assert_eq!(thread_override(v), want, "SJPL_JOIN_THREADS={v:?}");
-        }
+        let slabs = |owned, threads| workers(owned, MIN_SLAB_POINTS, threads);
+        assert_eq!(slabs(100, 8), 1);
+        assert_eq!(slabs(MIN_SLAB_POINTS + 1, 8), 2);
+        assert_eq!(slabs(10 * MIN_SLAB_POINTS, 4), 4);
+        assert_eq!(slabs(0, 4), 1);
+        assert_eq!(slabs(MIN_SLAB_POINTS, 0), 1);
     }
 }

@@ -5,7 +5,9 @@
 use sjpl_core::{pc_plot_cross, pc_plot_self, PcPlotConfig};
 use sjpl_datagen::{galaxy, roads, sierpinski};
 use sjpl_geom::Metric;
-use sjpl_index::{pair_count, self_pair_count, JoinAlgorithm};
+use sjpl_index::{
+    pair_count, par_sweep_join_count, par_sweep_self_join_count, self_pair_count, JoinAlgorithm,
+};
 
 /// Tolerance for bin-edge float fuzz: a pair whose distance is within one
 /// ULP of a bin edge may be counted one bin later by the histogram.
@@ -92,5 +94,36 @@ fn self_join_never_counts_self_pairs() {
     for algo in JoinAlgorithm::ALL {
         // chaos-game points are almost surely distinct
         assert_eq!(self_pair_count(algo, s.points(), 0.0, Metric::Linf), 0);
+    }
+}
+
+#[test]
+fn par_sweep_at_explicit_thread_counts_matches_the_nested_loop() {
+    // `JoinAlgorithm::ParSweep` above runs at auto threads; pin the one-slab
+    // inline path and the multi-slab worker path too. 9 000 points clear
+    // the sweep's 4 096-point slab floor, so four threads cut three slabs.
+    let (dev, exp) = galaxy::correlated_pair(9_000, 3_000, 6);
+    let s = sierpinski::triangle(9_000, 7);
+    for r in [0.001, 0.01] {
+        let cross = pair_count(
+            JoinAlgorithm::NestedLoop,
+            dev.points(),
+            exp.points(),
+            r,
+            Metric::Linf,
+        );
+        let selfj = self_pair_count(JoinAlgorithm::NestedLoop, s.points(), r, Metric::Linf);
+        for threads in [1, 4] {
+            assert_eq!(
+                par_sweep_join_count(dev.points(), exp.points(), r, Metric::Linf, threads),
+                cross,
+                "cross r={r} threads={threads}"
+            );
+            assert_eq!(
+                par_sweep_self_join_count(s.points(), r, Metric::Linf, threads),
+                selfj,
+                "self r={r} threads={threads}"
+            );
+        }
     }
 }

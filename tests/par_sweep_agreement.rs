@@ -9,8 +9,8 @@
 //! existing `join_agreement` suite already holds bit-identical to the
 //! nested loop.
 //!
-//! CI runs this suite twice, `SJPL_JOIN_THREADS=1` and `=4`, so both the
-//! single-slab fast path and the scoped-worker path stay gated.
+//! Thread counts are passed explicitly (1–4 and 8), so both the single-slab
+//! inline path and the scoped-worker path stay gated on every host.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -232,10 +232,8 @@ fn boundary_band_radii_straddle_slab_edges() {
 
 #[test]
 fn explicit_thread_counts_stay_exact() {
-    // The thread counts CI's SJPL_JOIN_THREADS knob resolves to must only
-    // change the schedule, never the count. They are passed explicitly: the
-    // variable's parsing is unit-tested in `partition.rs`, and setting it
-    // here would race sibling tests that read it.
+    // An explicit thread count only changes the schedule, never the
+    // count.
     let pts = uniform::unit_cube::<2>(1_200, 25);
     let expect = self_pair_count(JoinAlgorithm::NestedLoop, pts.points(), 0.07, Metric::L2);
     for threads in [1, 3, 8] {
