@@ -17,10 +17,9 @@ pub mod table5;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sjpl_core::BopsConfig;
 use sjpl_core::{
-    bops_plot_cross, bops_plot_self, pc_plot_cross, pc_plot_self, FitOptions, PairCountLaw,
-    PcPlotConfig,
+    bops_plot_cross, bops_plot_self, BopsConfig, EstimationMethod, FitOptions, PairCountLaw,
+    PcPlotConfig, SelectivityEstimator,
 };
 use sjpl_geom::PointSet;
 use sjpl_stats::sampling::sample_rate;
@@ -39,18 +38,18 @@ pub fn sampled<const D: usize>(set: &PointSet<D>, rate: f64, seed: u64) -> Point
 
 /// Fits the cross-join law via the exact PC plot (paper's slow method).
 pub fn pc_cross_law<const D: usize>(a: &PointSet<D>, b: &PointSet<D>) -> PairCountLaw {
-    pc_plot_cross(a, b, &PcPlotConfig::default())
-        .expect("pc plot")
-        .fit(&FitOptions::default())
-        .expect("pc fit")
+    let method = EstimationMethod::ExactPcPlot(PcPlotConfig::default());
+    *SelectivityEstimator::from_cross(a, b, method)
+        .expect("pc law")
+        .law()
 }
 
 /// Fits the self-join law via the exact PC plot.
 pub fn pc_self_law<const D: usize>(a: &PointSet<D>) -> PairCountLaw {
-    pc_plot_self(a, &PcPlotConfig::default())
-        .expect("pc plot")
-        .fit(&FitOptions::default())
-        .expect("pc fit")
+    let method = EstimationMethod::ExactPcPlot(PcPlotConfig::default());
+    *SelectivityEstimator::from_self(a, method)
+        .expect("pc law")
+        .law()
 }
 
 /// Fits a BOPS plot, relaxing the minimum-window requirement when the plot
@@ -70,22 +69,12 @@ fn bops_fit(plot: &sjpl_core::BopsPlot) -> PairCountLaw {
 
 /// Fits the cross-join law via BOPS (paper's fast method).
 pub fn bops_cross_law<const D: usize>(a: &PointSet<D>, b: &PointSet<D>) -> PairCountLaw {
-    let cfg = if D > 6 {
-        BopsConfig::high_dimensional()
-    } else {
-        BopsConfig::default()
-    };
-    bops_fit(&bops_plot_cross(a, b, &cfg).expect("bops plot"))
+    bops_fit(&bops_plot_cross(a, b, &BopsConfig::for_dim(D)).expect("bops plot"))
 }
 
 /// Fits the self-join law via BOPS.
 pub fn bops_self_law<const D: usize>(a: &PointSet<D>) -> PairCountLaw {
-    let cfg = if D > 6 {
-        BopsConfig::high_dimensional()
-    } else {
-        BopsConfig::default()
-    };
-    bops_fit(&bops_plot_self(a, &cfg).expect("bops plot"))
+    bops_fit(&bops_plot_self(a, &BopsConfig::for_dim(D)).expect("bops plot"))
 }
 
 /// `"1.234"` formatting for exponents.

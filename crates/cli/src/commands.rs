@@ -4,8 +4,8 @@ use std::fs::File;
 use std::io::{BufRead, BufReader};
 
 use sjpl_core::{
-    bops_plot_cross, bops_plot_self, pc_plot_cross, pc_plot_self, BopsConfig, FitOptions,
-    PairCountLaw, PcPlotConfig,
+    bops_plot_cross, bops_plot_self, pc_plot_cross, pc_plot_self, BopsConfig, EstimationMethod,
+    FitOptions, PairCountLaw, PcPlotConfig, SelectivityEstimator,
 };
 use sjpl_geom::{read_csv, write_csv, Metric, PointSet};
 use sjpl_index::{
@@ -70,10 +70,13 @@ commands:
 
 options:
   -r, --radius <r>     query radius (estimate, join)
-  --bins <n>           PC-plot radii count            [default 40]
-  --levels <n>         BOPS grid levels               [default 12]
+  --bins <n>           PC-plot radii count (pc-plot; estimate and
+                       catalog-add with --method pc)  [default 40]
+  --levels <n>         BOPS grid levels               [default 12; 16 if dim > 6]
   --ratio <x>          BOPS grid-side shrink factor   [default 0.5; 0.8 if dim > 6]
-  --metric <m>         l1 | l2 | linf | <p>           [default linf]
+  --metric <m>         l1 | l2 | linf | <p>; PC plots (pc-plot; estimate
+                       and catalog-add with --method pc), join, knn and
+                       serve drift probes             [default linf]
   --threads <n>        worker threads for PC plots, BOPS and the par-sweep
                        join; 0 means all CPUs            [default: all CPUs]
   --method <m>         pc | bops (estimate, catalog-add)  [default bops]
@@ -556,12 +559,56 @@ fn probe_typed<const D: usize>(
     ))
 }
 
-/// One-line stderr note when BOPS could not use the single-sort Morton
-/// keys — the slower path must be visible, not just recorded.
-fn warn_fallback(plot: &sjpl_core::BopsPlot) {
-    if let Some(reason) = plot.fallback() {
+/// The PC-plot config from `--metric`, `--bins` and `--threads`.
+fn pc_config(o: &Options) -> PcPlotConfig {
+    PcPlotConfig {
+        metric: o.metric.unwrap_or(Metric::Linf),
+        bins: o.bins.unwrap_or(40),
+        radius_range: None,
+        threads: o.threads.unwrap_or(0),
+    }
+}
+
+/// The BOPS config for `D`-dimensional data from `--levels`, `--ratio` and
+/// `--threads` over [`BopsConfig::for_dim`]. Rejects a config the plot
+/// would reject, and prints a one-line stderr note when it rules out the
+/// single-sort Morton keys: the slower path must be visible, not just
+/// recorded.
+fn bops_config<const D: usize>(o: &Options) -> Result<BopsConfig, String> {
+    let dim = BopsConfig::for_dim(D);
+    let cfg = BopsConfig {
+        levels: o.levels.unwrap_or(dim.levels),
+        ratio: o.ratio.unwrap_or(dim.ratio),
+        threads: o.threads.unwrap_or(0),
+    };
+    if let Some(reason) = cfg.fallback::<D>().map_err(|e| e.to_string())? {
         eprintln!("note: BOPS took the per-level sorted path: {reason}");
     }
+    Ok(cfg)
+}
+
+/// The law flags as the one [`EstimationMethod`] every law-fitting command
+/// uses; `name` is `pc` or `bops`.
+fn law_method<const D: usize>(o: &Options, name: &str) -> Result<EstimationMethod, String> {
+    match name {
+        "pc" => Ok(EstimationMethod::ExactPcPlot(pc_config(o))),
+        "bops" => bops_config::<D>(o).map(EstimationMethod::Bops),
+        m => Err(format!("unknown method {m:?} (pc or bops)")),
+    }
+}
+
+/// Fits the law of the cross join `a × b` when `b` is given, else of the
+/// self join of `a`.
+fn fit_law<const D: usize>(
+    a: &PointSet<D>,
+    b: Option<&PointSet<D>>,
+    method: EstimationMethod,
+) -> Result<SelectivityEstimator, String> {
+    match b {
+        Some(b) => SelectivityEstimator::from_cross(a, b, method),
+        None => SelectivityEstimator::from_self(a, method),
+    }
+    .map_err(|e| e.to_string())
 }
 
 fn cmd_catalog_add(o: &Options) -> Result<(), String> {
@@ -589,30 +636,8 @@ fn catalog_add_typed<const D: usize>(orig: &Options, data_opts: &Options) -> Res
     let cat_path = &orig.positional[0];
     let name = &orig.positional[1];
     let (a, b) = load_sets::<D>(data_opts)?;
-    let bops_cfg = BopsConfig {
-        levels: orig.levels.unwrap_or(12),
-        ratio: orig.ratio.unwrap_or(if D > 6 { 0.8 } else { 0.5 }),
-        threads: orig.threads.unwrap_or(0),
-    };
-    let pc_cfg = PcPlotConfig {
-        threads: orig.threads.unwrap_or(0),
-        ..PcPlotConfig::default()
-    };
-    let fit_opts = FitOptions::default();
-    let law = match (orig.method.as_deref().unwrap_or("bops"), &b) {
-        ("bops", Some(b)) => bops_plot_cross(&a, b, &bops_cfg).and_then(|p| {
-            warn_fallback(&p);
-            p.fit(&fit_opts)
-        }),
-        ("bops", None) => bops_plot_self(&a, &bops_cfg).and_then(|p| {
-            warn_fallback(&p);
-            p.fit(&fit_opts)
-        }),
-        ("pc", Some(b)) => pc_plot_cross(&a, b, &pc_cfg).and_then(|p| p.fit(&fit_opts)),
-        ("pc", None) => pc_plot_self(&a, &pc_cfg).and_then(|p| p.fit(&fit_opts)),
-        (m, _) => return Err(format!("unknown method {m:?}")),
-    }
-    .map_err(|e| e.to_string())?;
+    let method = law_method::<D>(orig, orig.method.as_deref().unwrap_or("bops"))?;
+    let law = *fit_law(&a, b.as_ref(), method)?.law();
     let mut cat = if std::path::Path::new(cat_path).exists() {
         LawCatalog::load(cat_path).map_err(|e| e.to_string())?
     } else {
@@ -768,30 +793,10 @@ fn run_typed<const D: usize>(o: &Options, kind: CmdKind) -> Result<(), String> {
         _ => {}
     }
     let (a, b) = load_sets::<D>(o)?;
-    let metric = o.metric.unwrap_or(Metric::Linf);
     let fit_opts = FitOptions::default();
-    let pc_cfg = PcPlotConfig {
-        metric,
-        bins: o.bins.unwrap_or(40),
-        radius_range: None,
-        threads: o.threads.unwrap_or(0),
-    };
-    // High embedding dimensions need the gentler grid-side schedule or the
-    // dyadic levels jump straight from "one occupied cell" to "all
-    // singletons".
-    let bops_default = if D > 6 {
-        BopsConfig::high_dimensional()
-    } else {
-        BopsConfig::default()
-    };
-    let bops_cfg = BopsConfig {
-        levels: o.levels.unwrap_or(bops_default.levels),
-        ratio: o.ratio.unwrap_or(bops_default.ratio),
-        // `--threads` governs BOPS too; unset means one thread per CPU.
-        threads: o.threads.unwrap_or(0),
-    };
     match kind {
         CmdKind::PcPlot => {
+            let pc_cfg = pc_config(o);
             let plot = match &b {
                 Some(b) => pc_plot_cross(&a, b, &pc_cfg),
                 None => pc_plot_self(&a, &pc_cfg),
@@ -805,12 +810,12 @@ fn run_typed<const D: usize>(o: &Options, kind: CmdKind) -> Result<(), String> {
             Ok(())
         }
         CmdKind::Bops => {
+            let bops_cfg = bops_config::<D>(o)?;
             let plot = match &b {
                 Some(b) => bops_plot_cross(&a, b, &bops_cfg),
                 None => bops_plot_self(&a, &bops_cfg),
             }
             .map_err(|e| e.to_string())?;
-            warn_fallback(&plot);
             println!("# radius (s/2), bops");
             for (&r, &v) in plot.radii().iter().zip(plot.values().iter()) {
                 println!("{r:.6e}, {v}");
@@ -820,37 +825,12 @@ fn run_typed<const D: usize>(o: &Options, kind: CmdKind) -> Result<(), String> {
         }
         CmdKind::Estimate => {
             let r = o.radius.ok_or("estimate needs --radius")?;
-            let method = o.method.as_deref().unwrap_or("bops");
-            let (law, label) = match (method, &b) {
-                ("bops", Some(b)) => (
-                    bops_plot_cross(&a, b, &bops_cfg).and_then(|p| {
-                        warn_fallback(&p);
-                        p.fit(&fit_opts)
-                    }),
-                    "bops",
-                ),
-                ("bops", None) => (
-                    bops_plot_self(&a, &bops_cfg).and_then(|p| {
-                        warn_fallback(&p);
-                        p.fit(&fit_opts)
-                    }),
-                    "bops",
-                ),
-                ("pc", Some(b)) => (
-                    pc_plot_cross(&a, b, &pc_cfg).and_then(|p| p.fit(&fit_opts)),
-                    "pc",
-                ),
-                ("pc", None) => (
-                    pc_plot_self(&a, &pc_cfg).and_then(|p| p.fit(&fit_opts)),
-                    "pc",
-                ),
-                (m, _) => return Err(format!("unknown method {m:?} (pc or bops)")),
-            };
-            let law = law.map_err(|e| e.to_string())?;
-            let est = sjpl_core::SelectivityEstimator::from_law_labeled(law, label);
+            let method = law_method::<D>(o, o.method.as_deref().unwrap_or("bops"))?;
+            let est = fit_law(&a, b.as_ref(), method)?;
+            let law = est.law();
             let dataset = dataset_label(&a, b.as_ref());
             let pairs = est.estimate_pair_count_observed(&dataset, r, o.true_pc);
-            print_law(&law);
+            print_law(law);
             println!(
                 "estimate at r = {r}: pairs ≈ {pairs:.1}, selectivity ≈ {:.4e}{}",
                 law.selectivity(r),
@@ -877,6 +857,7 @@ fn run_typed<const D: usize>(o: &Options, kind: CmdKind) -> Result<(), String> {
             // `--threads` to it directly so the dispatch enum (which uses
             // auto threads) doesn't swallow the flag.
             let threads = o.threads.unwrap_or(0);
+            let metric = o.metric.unwrap_or(Metric::Linf);
             let (count, denom) = match &b {
                 Some(b) => (
                     if algo == JoinAlgorithm::ParSweep {
@@ -904,9 +885,8 @@ fn run_typed<const D: usize>(o: &Options, kind: CmdKind) -> Result<(), String> {
             Ok(())
         }
         CmdKind::Dim => {
-            let plot = bops_plot_self(&a, &bops_cfg).map_err(|e| e.to_string())?;
-            warn_fallback(&plot);
-            let law = plot.fit(&fit_opts).map_err(|e| e.to_string())?;
+            let est = fit_law(&a, None, law_method::<D>(o, "bops")?)?;
+            let law = est.law();
             println!(
                 "correlation fractal dimension D2 ≈ {:.4} (fit r^2 = {:.4}; embedding E = {D})",
                 law.exponent, law.fit.line.r_squared
@@ -924,8 +904,9 @@ fn run_typed<const D: usize>(o: &Options, kind: CmdKind) -> Result<(), String> {
             if let Ok(c) = a.centroid() {
                 println!("centroid: {}", fmt_pt(&c));
             }
-            match bops_plot_self(&a, &bops_cfg).and_then(|p| p.fit(&fit_opts)) {
-                Ok(law) => {
+            match law_method::<D>(o, "bops").and_then(|m| fit_law(&a, None, m)) {
+                Ok(est) => {
+                    let law = est.law();
                     println!(
                         "quick self-join law (BOPS): alpha = {:.3}, K = {:.3e}, r^2 = {:.4}",
                         law.exponent, law.k, law.fit.line.r_squared
@@ -1325,6 +1306,63 @@ mod tests {
         assert_eq!(rec.get("radius").unwrap().as_f64(), Some(0.05));
         assert_eq!(rec.get("true_pc").unwrap().as_f64(), Some(10000.0));
         assert!(rec.get("rel_error").unwrap().as_f64().is_some());
+    }
+
+    /// `catalog-add` stores exactly the law `estimate` fits for the same
+    /// flags: 2-d and 16-d data, both methods, default and non-default law
+    /// flags. `estimate`'s law is read from its snapshot: α from the
+    /// `fit.exponent` gauge, K through the accuracy record's `K·r^α`.
+    #[test]
+    fn catalog_add_stores_the_law_estimate_fits() {
+        let _obs = crate::obs_lock();
+        let dir = tmpdir("catalog_add_stores_the_law_estimate_fits");
+        let cat = dir.join("laws.tsv");
+        let obs = dir.join("obs.json");
+        let (cat, obs) = (cat.to_str().unwrap(), obs.to_str().unwrap());
+        let custom = [
+            "--bins", "20", "--metric", "l2", "--levels", "10", "--ratio", "0.7",
+        ];
+        for (kind, r) in [("sierpinski", 0.01), ("eigenfaces", 0.1)] {
+            let data = dir.join(format!("{kind}.csv"));
+            let data = data.to_str().unwrap();
+            run(&sv(&["generate", kind, "1500", "1", data])).unwrap();
+            for method in ["bops", "pc"] {
+                for flags in [&[][..], &custom[..]] {
+                    let name = format!("{kind}-{method}-{}", flags.len());
+                    let r_arg = r.to_string();
+                    let mut estimate = sv(&["estimate", data, "-r", &r_arg, "--method", method]);
+                    estimate.extend(sv(&["--obs-out", obs]).into_iter().chain(sv(flags)));
+                    run(&estimate).unwrap();
+                    let doc = sjpl_obs::json::Json::parse(&std::fs::read_to_string(obs).unwrap())
+                        .unwrap();
+                    let alpha = doc
+                        .get("gauges")
+                        .unwrap()
+                        .as_array()
+                        .unwrap()
+                        .iter()
+                        .find(|g| g.get("name").unwrap().as_str() == Some("fit.exponent"))
+                        .and_then(|g| g.get("value").unwrap().as_f64())
+                        .unwrap();
+                    let pairs = doc.get("accuracy").unwrap().as_array().unwrap()[0]
+                        .get("estimated_pc")
+                        .unwrap()
+                        .as_f64()
+                        .unwrap();
+
+                    let mut add = sv(&["catalog-add", cat, &name, data, "--method", method]);
+                    add.extend(sv(flags));
+                    run(&add).unwrap();
+                    let law = *sjpl_core::LawCatalog::load(cat)
+                        .unwrap()
+                        .get(&name)
+                        .unwrap();
+                    assert!(pairs < law.max_pairs(), "{name}: r = {r} saturates the law");
+                    assert_eq!(law.exponent, alpha, "{name}: alpha");
+                    assert_eq!(law.pair_count(r), pairs, "{name}: K");
+                }
+            }
+        }
     }
 
     #[test]

@@ -34,9 +34,9 @@
 //!   the worker threads.
 //!
 //! The config picks the schedule. The per-level path is **not** silent: the
-//! plot records why it ran ([`BopsPlot::fallback`]) and the `bops.engine`
-//! event names it, so callers (the CLI prints a one-line stderr note) and
-//! traces both see it.
+//! config reports it before any work ([`BopsConfig::fallback`], which the
+//! CLI prints as a one-line stderr note), the plot records why it ran
+//! ([`BopsPlot::fallback`]) and the `bops.engine` event names it in traces.
 //!
 //! # Observability
 //!
@@ -108,6 +108,27 @@ impl BopsConfig {
             ratio: 0.8,
             ..BopsConfig::default()
         }
+    }
+
+    /// The default schedule for `d`-dimensional data: above 6 dimensions
+    /// the dyadic levels jump straight from "one occupied cell" to "all
+    /// singletons", so [`Self::high_dimensional`] takes over from
+    /// [`Self::default`].
+    pub fn for_dim(d: usize) -> Self {
+        if d > 6 {
+            BopsConfig::high_dimensional()
+        } else {
+            BopsConfig::default()
+        }
+    }
+
+    /// Checks the config for `D`-dimensional data and returns
+    /// [`BopsPlot::fallback`]'s reason ahead of the plot: `Some(reason)`
+    /// when the per-level path will run. The reason depends only on `D`,
+    /// `levels` and `ratio`.
+    pub fn fallback<const D: usize>(&self) -> Result<Option<String>, CoreError> {
+        check_cfg(self)?;
+        Ok(key_schedule::<D>(self).1)
     }
 
     /// Same config with a worker-thread budget (`0` = one per CPU).
@@ -595,7 +616,7 @@ pub fn bops_plot_self<const D: usize>(
 
 /// The cross join of `a` and `b` when `b` is given, else the self join of
 /// `a`.
-fn plot<const D: usize>(
+pub(crate) fn plot<const D: usize>(
     a: &PointSet<D>,
     b: Option<&PointSet<D>>,
     cfg: &BopsConfig,
@@ -830,9 +851,31 @@ mod tests {
         let plot = bops_plot_self(&hd, &BopsConfig::dyadic(12)).unwrap();
         assert_eq!(plot.engine_used(), "sorted-per-level");
         assert!(plot.fallback().is_some());
+        // The config gives the same reason before any work.
+        let ahead = BopsConfig::dyadic(12).fallback::<16>().unwrap();
+        assert_eq!(ahead.as_deref(), plot.fallback());
         let fast = bops_plot_self(&uniform(100, 2), &BopsConfig::dyadic(12)).unwrap();
         assert_eq!(fast.engine_used(), "sorted-morton-64");
         assert!(fast.fallback().is_none());
+        assert_eq!(BopsConfig::dyadic(12).fallback::<2>().unwrap(), None);
+        // A config the plot would reject is rejected here too.
+        let bad = BopsConfig {
+            ratio: 1.5,
+            ..BopsConfig::default()
+        };
+        assert!(matches!(bad.fallback::<2>(), Err(CoreError::BadConfig(_))));
+    }
+
+    #[test]
+    fn for_dim_switches_to_the_gentle_schedule_above_six_dimensions() {
+        for d in [1, 2, 6] {
+            let cfg = BopsConfig::for_dim(d);
+            assert_eq!((cfg.levels, cfg.ratio), (12, 0.5), "d = {d}");
+        }
+        for d in [7, 16] {
+            let cfg = BopsConfig::for_dim(d);
+            assert_eq!((cfg.levels, cfg.ratio), (16, 0.8), "d = {d}");
+        }
     }
 
     #[test]

@@ -25,8 +25,7 @@ use sjpl_stats::sampling::sample_rate;
 use sjpl_stats::FitOptions;
 
 use crate::{
-    bops_plot_cross, bops_plot_self, pc_plot_cross, pc_plot_self, BopsConfig, CoreError,
-    PairCountLaw, PcPlotConfig,
+    pc_plot_cross, pc_plot_self, BopsConfig, CoreError, PairCountLaw, PcPlot, PcPlotConfig,
 };
 
 /// How the estimator's law is computed.
@@ -99,12 +98,24 @@ fn rescale_law(mut law: PairCountLaw, factor: f64, n: usize, m: usize) -> PairCo
     law
 }
 
+/// The exact PC plot of the cross join `a × b` when `b` is given, else of
+/// the self join of `a`.
+fn pc_plot<const D: usize>(
+    a: &PointSet<D>,
+    b: Option<&PointSet<D>>,
+    cfg: &PcPlotConfig,
+) -> Result<PcPlot, CoreError> {
+    match b {
+        Some(b) => pc_plot_cross(a, b, cfg),
+        None => pc_plot_self(a, cfg),
+    }
+}
+
 /// An O(1) spatial-join selectivity estimator backed by a fitted
 /// [`PairCountLaw`].
 #[derive(Clone, Copy, Debug)]
 pub struct SelectivityEstimator {
     law: PairCountLaw,
-    fit_opts_used: FitOptions,
     method_label: &'static str,
 }
 
@@ -115,36 +126,7 @@ impl SelectivityEstimator {
         b: &PointSet<D>,
         method: EstimationMethod,
     ) -> Result<Self, CoreError> {
-        Self::from_cross_with(a, b, method, &FitOptions::default())
-    }
-
-    /// [`SelectivityEstimator::from_cross`] with explicit fit options.
-    pub fn from_cross_with<const D: usize>(
-        a: &PointSet<D>,
-        b: &PointSet<D>,
-        method: EstimationMethod,
-        opts: &FitOptions,
-    ) -> Result<Self, CoreError> {
-        let law = match method {
-            EstimationMethod::ExactPcPlot(cfg) => pc_plot_cross(a, b, &cfg)?.fit(opts)?,
-            EstimationMethod::Bops(cfg) => bops_plot_cross(a, b, &cfg)?.fit(opts)?,
-            EstimationMethod::SampledPcPlot { rate, seed, cfg } => {
-                check_rate(rate)?;
-                let sa = sampled(a, rate, seed);
-                let sb = sampled(b, rate, seed ^ 0xffff);
-                let sample_law = pc_plot_cross(&sa, &sb, &cfg)?.fit(opts)?;
-                // Observation 3: PC_sample(r) ≈ p_a·p_b · PC(r); undo the
-                // shift and restore the full cardinalities.
-                let pa = sa.len() as f64 / a.len() as f64;
-                let pb = sb.len() as f64 / b.len() as f64;
-                rescale_law(sample_law, 1.0 / (pa * pb), a.len(), b.len())
-            }
-        };
-        Ok(SelectivityEstimator {
-            law,
-            fit_opts_used: *opts,
-            method_label: method.label(),
-        })
+        Self::build(a, Some(b), method)
     }
 
     /// Builds an estimator for the self join of `A`.
@@ -152,37 +134,53 @@ impl SelectivityEstimator {
         a: &PointSet<D>,
         method: EstimationMethod,
     ) -> Result<Self, CoreError> {
-        Self::from_self_with(a, method, &FitOptions::default())
+        Self::build(a, None, method)
     }
 
-    /// [`SelectivityEstimator::from_self`] with explicit fit options.
-    pub fn from_self_with<const D: usize>(
+    /// The cross join of `a` and `b` when `b` is given, else the self join
+    /// of `a`.
+    fn build<const D: usize>(
         a: &PointSet<D>,
+        b: Option<&PointSet<D>>,
         method: EstimationMethod,
-        opts: &FitOptions,
     ) -> Result<Self, CoreError> {
+        let opts = FitOptions::default();
         let law = match method {
-            EstimationMethod::ExactPcPlot(cfg) => pc_plot_self(a, &cfg)?.fit(opts)?,
-            EstimationMethod::Bops(cfg) => bops_plot_self(a, &cfg)?.fit(opts)?,
+            EstimationMethod::ExactPcPlot(cfg) => pc_plot(a, b, &cfg)?.fit(&opts)?,
+            EstimationMethod::Bops(cfg) => crate::bops::plot(a, b, &cfg)?.fit(&opts)?,
             EstimationMethod::SampledPcPlot { rate, seed, cfg } => {
                 check_rate(rate)?;
                 let sa = sampled(a, rate, seed);
-                let sample_law = pc_plot_self(&sa, &cfg)?.fit(opts)?;
-                // Unordered pairs scale by C(pn,2)/C(n,2) ≈ p² for large n;
-                // use the exact pair-count ratio so tiny sets stay right.
-                let full_pairs = a.len() as f64 * (a.len() as f64 - 1.0) / 2.0;
-                let samp_pairs = sa.len() as f64 * (sa.len() as f64 - 1.0) / 2.0;
+                let sb = b.map(|b| sampled(b, rate, seed ^ 0xffff));
+                let sample_law = pc_plot(&sa, sb.as_ref(), &cfg)?.fit(&opts)?;
+                let factor = match b.zip(sb.as_ref()) {
+                    // Observation 3: PC_sample(r) ≈ p_a·p_b · PC(r); undo
+                    // the shift.
+                    Some((b, sb)) => {
+                        let pa = sa.len() as f64 / a.len() as f64;
+                        let pb = sb.len() as f64 / b.len() as f64;
+                        1.0 / (pa * pb)
+                    }
+                    // Unordered pairs scale by C(pn,2)/C(n,2) ≈ p² for
+                    // large n; use the exact pair-count ratio so tiny sets
+                    // stay right.
+                    None => {
+                        let full_pairs = a.len() as f64 * (a.len() as f64 - 1.0) / 2.0;
+                        let samp_pairs = sa.len() as f64 * (sa.len() as f64 - 1.0) / 2.0;
+                        full_pairs / samp_pairs.max(1.0)
+                    }
+                };
+                // Restore the full cardinalities.
                 rescale_law(
                     sample_law,
-                    full_pairs / samp_pairs.max(1.0),
+                    factor,
                     a.len(),
-                    a.len(),
+                    b.map_or(a.len(), PointSet::len),
                 )
             }
         };
         Ok(SelectivityEstimator {
             law,
-            fit_opts_used: *opts,
             method_label: method.label(),
         })
     }
@@ -190,28 +188,15 @@ impl SelectivityEstimator {
     /// Wraps a previously fitted law (e.g. statistics stored by a query
     /// optimizer catalog — the paper's "previously kept statistics" path).
     pub fn from_law(law: PairCountLaw) -> Self {
-        Self::from_law_labeled(law, "stored-law")
-    }
-
-    /// [`Self::from_law`] with an explicit telemetry method label, for
-    /// callers that built the law themselves and know which method
-    /// produced it.
-    pub fn from_law_labeled(law: PairCountLaw, label: &'static str) -> Self {
         SelectivityEstimator {
             law,
-            fit_opts_used: FitOptions::default(),
-            method_label: label,
+            method_label: "stored-law",
         }
     }
 
     /// The fitted law (exponent α, constant K, fit diagnostics).
     pub fn law(&self) -> &PairCountLaw {
         &self.law
-    }
-
-    /// The fit options that produced the law.
-    pub fn fit_options(&self) -> &FitOptions {
-        &self.fit_opts_used
     }
 
     /// Short stable label of the construction method (`pc`, `bops`,

@@ -344,6 +344,29 @@ mod tests {
     }
 
     #[test]
+    fn explicit_range_top_edge_counts_the_farthest_pair() {
+        // A range pinned at the largest pair distance, as the repro
+        // experiments pin theirs: every edge, the top one included, must
+        // match the nested loop exactly.
+        let a = sjpl_datagen::galaxy::correlated_pair(1500, 16, 7).0;
+        let pts = a.points();
+        let mut dists: Vec<f64> = (0..pts.len())
+            .flat_map(|i| (i + 1..pts.len()).map(move |j| Metric::Linf.dist(&pts[i], &pts[j])))
+            .collect();
+        dists.sort_by(f64::total_cmp);
+        let dmax = *dists.last().unwrap();
+        let cfg = PcPlotConfig {
+            radius_range: Some((dmax * 1e-4, dmax)),
+            ..Default::default()
+        };
+        let plot = pc_plot_self(&a, &cfg).unwrap();
+        for (&r, &c) in plot.radii().iter().zip(plot.counts()) {
+            let exact = dists.partition_point(|&d| d <= r) as u64;
+            assert_eq!(c, exact, "r={r}");
+        }
+    }
+
+    #[test]
     fn bad_configs_are_rejected() {
         let a = uniform(50, 8);
         let cfg = PcPlotConfig {

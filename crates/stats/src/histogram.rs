@@ -75,9 +75,14 @@ impl LogHistogram {
     }
 
     /// The upper edge of bin `i` (distances ≤ this edge fall in bins `0..=i`
-    /// or the underflow bucket).
+    /// or the underflow bucket). The last edge is `hi` itself: the log-space
+    /// round trip can land a few ULPs below it, yet [`Self::record_n`] files
+    /// `v = hi` in the last bin.
     pub fn upper_edge(&self, i: usize) -> f64 {
         debug_assert!(i < self.counts.len());
+        if i + 1 == self.counts.len() {
+            return self.hi;
+        }
         let t = (i + 1) as f64 / self.inv_log_ratio;
         (self.log_lo + t).exp()
     }
@@ -227,6 +232,26 @@ mod tests {
             assert_eq!(c, brute, "at edge {edge}");
             assert!(c >= prev);
             prev = c;
+        }
+    }
+
+    #[test]
+    fn cumulative_counts_exactly_at_every_edge() {
+        // Geometries whose log-space top edge rounds a few ULPs below `hi`;
+        // a value at exactly `hi` must still count at the last edge.
+        for (lo, hi, bins) in [(3e-5, 0.3, 10), (0.15, 0.3, 12), (7e-5, 0.7, 40)] {
+            let mut h = LogHistogram::new(lo, hi, bins).unwrap();
+            let mut values = vec![lo, hi, lo * 0.5, hi * 2.0];
+            values.extend((0..bins).map(|i| h.upper_edge(i)));
+            values.extend((0..bins).map(|i| h.upper_edge(i) * (1.0 - 1e-12)));
+            for &v in &values {
+                h.record(v);
+            }
+            for (edge, c) in h.cumulative() {
+                let brute = values.iter().filter(|&&v| v <= edge).count() as u64;
+                assert_eq!(c, brute, "({lo}, {hi}, {bins}) at edge {edge}");
+            }
+            assert_eq!(h.cumulative().last().unwrap().0, hi);
         }
     }
 
