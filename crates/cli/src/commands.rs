@@ -79,7 +79,8 @@ options:
                        serve drift probes             [default linf]
   --threads <n>        worker threads for PC plots, BOPS and the par-sweep
                        join; 0 means all CPUs            [default: all CPUs]
-  --method <m>         pc | bops (estimate, catalog-add)  [default bops]
+  --method <m>         pc | bops (estimate, catalog-add, dim, info)
+                                                    [default bops]
   --algo <a>           nested-loop | kd-tree | plane-sweep | par-sweep
                                                     [default par-sweep]
   -k <n>               neighbor count for knn         [default 1]
@@ -179,6 +180,12 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
         return Err(CliError::from(format!("no command given\n{USAGE}")));
     };
     let opts = parse(rest)?;
+    if opts.method.is_some() && matches!(cmd.as_str(), "bops" | "pc-plot" | "join") {
+        return Err(CliError::from(format!(
+            "{cmd} takes no --method (it picks the law method of estimate, \
+             catalog-add, dim and info)\n{USAGE}"
+        )));
+    }
     let tracing = opts.trace.is_some() || opts.obs_out.is_some() || opts.trace_out.is_some();
     if tracing {
         sjpl_obs::reset();
@@ -587,10 +594,15 @@ fn bops_config<const D: usize>(o: &Options) -> Result<BopsConfig, String> {
     Ok(cfg)
 }
 
+/// The `--method` name, `bops` by default.
+fn method_name(o: &Options) -> &str {
+    o.method.as_deref().unwrap_or("bops")
+}
+
 /// The law flags as the one [`EstimationMethod`] every law-fitting command
-/// uses; `name` is `pc` or `bops`.
-fn law_method<const D: usize>(o: &Options, name: &str) -> Result<EstimationMethod, String> {
-    match name {
+/// uses; `--method` is `pc` or `bops`.
+fn law_method<const D: usize>(o: &Options) -> Result<EstimationMethod, String> {
+    match method_name(o) {
         "pc" => Ok(EstimationMethod::ExactPcPlot(pc_config(o))),
         "bops" => bops_config::<D>(o).map(EstimationMethod::Bops),
         m => Err(format!("unknown method {m:?} (pc or bops)")),
@@ -636,8 +648,7 @@ fn catalog_add_typed<const D: usize>(orig: &Options, data_opts: &Options) -> Res
     let cat_path = &orig.positional[0];
     let name = &orig.positional[1];
     let (a, b) = load_sets::<D>(data_opts)?;
-    let method = law_method::<D>(orig, orig.method.as_deref().unwrap_or("bops"))?;
-    let law = *fit_law(&a, b.as_ref(), method)?.law();
+    let law = *fit_law(&a, b.as_ref(), law_method::<D>(orig)?)?.law();
     let mut cat = if std::path::Path::new(cat_path).exists() {
         LawCatalog::load(cat_path).map_err(|e| e.to_string())?
     } else {
@@ -825,8 +836,7 @@ fn run_typed<const D: usize>(o: &Options, kind: CmdKind) -> Result<(), String> {
         }
         CmdKind::Estimate => {
             let r = o.radius.ok_or("estimate needs --radius")?;
-            let method = law_method::<D>(o, o.method.as_deref().unwrap_or("bops"))?;
-            let est = fit_law(&a, b.as_ref(), method)?;
+            let est = fit_law(&a, b.as_ref(), law_method::<D>(o)?)?;
             let law = est.law();
             let dataset = dataset_label(&a, b.as_ref());
             let pairs = est.estimate_pair_count_observed(&dataset, r, o.true_pc);
@@ -885,7 +895,7 @@ fn run_typed<const D: usize>(o: &Options, kind: CmdKind) -> Result<(), String> {
             Ok(())
         }
         CmdKind::Dim => {
-            let est = fit_law(&a, None, law_method::<D>(o, "bops")?)?;
+            let est = fit_law(&a, None, law_method::<D>(o)?)?;
             let law = est.law();
             println!(
                 "correlation fractal dimension D2 ≈ {:.4} (fit r^2 = {:.4}; embedding E = {D})",
@@ -894,6 +904,8 @@ fn run_typed<const D: usize>(o: &Options, kind: CmdKind) -> Result<(), String> {
             Ok(())
         }
         CmdKind::Info => {
+            // A bad flag is a usage error; only a failed fit is reported.
+            let method = law_method::<D>(o)?;
             println!("dataset: {} ({} points, {}-d)", a.name(), a.len(), D);
             let bb = a.bbox();
             let fmt_pt = |p: &sjpl_geom::Point<D>| {
@@ -904,12 +916,15 @@ fn run_typed<const D: usize>(o: &Options, kind: CmdKind) -> Result<(), String> {
             if let Ok(c) = a.centroid() {
                 println!("centroid: {}", fmt_pt(&c));
             }
-            match law_method::<D>(o, "bops").and_then(|m| fit_law(&a, None, m)) {
+            match fit_law(&a, None, method) {
                 Ok(est) => {
                     let law = est.law();
                     println!(
-                        "quick self-join law (BOPS): alpha = {:.3}, K = {:.3e}, r^2 = {:.4}",
-                        law.exponent, law.k, law.fit.line.r_squared
+                        "quick self-join law ({}): alpha = {:.3}, K = {:.3e}, r^2 = {:.4}",
+                        method_name(o).to_uppercase(),
+                        law.exponent,
+                        law.k,
+                        law.fit.line.r_squared
                     );
                     println!(
                         "intrinsic dimension ≈ {:.2} of embedding {D}; extrapolated \
@@ -1201,10 +1216,11 @@ mod tests {
         let obs = dir.join("chrome_obs.json");
         let direct = dir.join("direct_trace.json");
         let exported = dir.join("exported_trace.json");
+        // Enough points that `--threads 2` splits the scan in two.
         run(&sv(&[
             "generate",
             "uniform",
-            "3000",
+            "10000",
             "17",
             data.to_str().unwrap(),
         ]))
@@ -1214,6 +1230,8 @@ mod tests {
             data.to_str().unwrap(),
             "--levels",
             "8",
+            "--threads",
+            "2",
             "--obs-out",
             obs.to_str().unwrap(),
             "--trace-out",
@@ -1238,23 +1256,27 @@ mod tests {
             let scan_id = events
                 .iter()
                 .find(|e| e.get("name").unwrap().as_str() == Some("bops.scan"))
-                .map(|e| e.get("args").unwrap().get("id").unwrap().as_f64().unwrap());
-            if let Some(scan_id) = scan_id {
-                let worker_parents: Vec<f64> = events
-                    .iter()
-                    .filter(|e| e.get("name").unwrap().as_str() == Some("bops.scan.worker"))
-                    .map(|e| {
-                        e.get("args")
-                            .unwrap()
-                            .get("parent")
-                            .unwrap()
-                            .as_f64()
-                            .unwrap()
-                    })
-                    .collect();
-                for p in worker_parents {
-                    assert_eq!(p, scan_id);
-                }
+                .map(|e| e.get("args").unwrap().get("id").unwrap().as_f64().unwrap())
+                .expect("a bops.scan span");
+            let worker_parents: Vec<f64> = events
+                .iter()
+                .filter(|e| e.get("name").unwrap().as_str() == Some("bops.scan.worker"))
+                .map(|e| {
+                    e.get("args")
+                        .unwrap()
+                        .get("parent")
+                        .unwrap()
+                        .as_f64()
+                        .unwrap()
+                })
+                .collect();
+            assert_eq!(
+                worker_parents.len(),
+                2,
+                "{path:?}: one span per scan worker"
+            );
+            for p in worker_parents {
+                assert_eq!(p, scan_id);
             }
         }
         // Refusing a schema-1 (timeline-less) snapshot is an error, not a panic.
@@ -1335,15 +1357,7 @@ mod tests {
                     run(&estimate).unwrap();
                     let doc = sjpl_obs::json::Json::parse(&std::fs::read_to_string(obs).unwrap())
                         .unwrap();
-                    let alpha = doc
-                        .get("gauges")
-                        .unwrap()
-                        .as_array()
-                        .unwrap()
-                        .iter()
-                        .find(|g| g.get("name").unwrap().as_str() == Some("fit.exponent"))
-                        .and_then(|g| g.get("value").unwrap().as_f64())
-                        .unwrap();
+                    let alpha = fit_exponent(obs);
                     let pairs = doc.get("accuracy").unwrap().as_array().unwrap()[0]
                         .get("estimated_pc")
                         .unwrap()
@@ -1362,6 +1376,69 @@ mod tests {
                     assert_eq!(law.pair_count(r), pairs, "{name}: K");
                 }
             }
+        }
+    }
+
+    /// The `fit.exponent` gauge of the snapshot a command wrote to `obs`.
+    fn fit_exponent(obs: &str) -> f64 {
+        let doc = sjpl_obs::json::Json::parse(&std::fs::read_to_string(obs).unwrap()).unwrap();
+        doc.get("gauges")
+            .unwrap()
+            .as_array()
+            .unwrap()
+            .iter()
+            .find(|g| g.get("name").unwrap().as_str() == Some("fit.exponent"))
+            .and_then(|g| g.get("value").unwrap().as_f64())
+            .unwrap()
+    }
+
+    /// `dim` and `info` fit the law `--method` names, like `estimate`;
+    /// an unknown method fails, and the plot commands, which have no law
+    /// method to pick, reject the flag instead of ignoring it.
+    #[test]
+    fn dim_honours_method_and_plot_commands_reject_it() {
+        let _obs = crate::obs_lock();
+        let dir = tmpdir("dim_honours_method_and_plot_commands_reject_it");
+        let (data, obs) = (dir.join("s.csv"), dir.join("obs.json"));
+        let (data, obs) = (data.to_str().unwrap(), obs.to_str().unwrap());
+        run(&sv(&["generate", "sierpinski", "1500", "1", data])).unwrap();
+        let mut alphas = Vec::new();
+        for method in ["bops", "pc"] {
+            run(&sv(&["dim", data, "--method", method, "--obs-out", obs])).unwrap();
+            let dim = fit_exponent(obs);
+            run(&sv(&["info", data, "--method", method, "--obs-out", obs])).unwrap();
+            assert_eq!(fit_exponent(obs), dim, "info --method {method}");
+            let estimate = ["estimate", data, "-r", "0.01", "--method", method];
+            run(&sv(&estimate)
+                .into_iter()
+                .chain(sv(&["--obs-out", obs]))
+                .collect::<Vec<_>>())
+            .unwrap();
+            assert_eq!(fit_exponent(obs), dim, "dim --method {method}");
+            alphas.push(dim);
+        }
+        assert_ne!(alphas[0], alphas[1], "dim --method pc fitted the BOPS law");
+        for cmd in ["dim", "info"] {
+            let err = run(&sv(&[cmd, data, "--method", "nonsense"])).unwrap_err();
+            assert!(
+                err.message.contains("unknown method"),
+                "{cmd}: {}",
+                err.message
+            );
+        }
+        for cmd in [
+            &["bops", data][..],
+            &["pc-plot", data],
+            &["join", data, "-r", "0.01"],
+        ] {
+            let mut argv = sv(cmd);
+            argv.extend(sv(&["--method", "pc"]));
+            let err = run(&argv).unwrap_err();
+            assert!(
+                err.message.contains("takes no --method"),
+                "{cmd:?}: {}",
+                err.message
+            );
         }
     }
 

@@ -10,28 +10,40 @@
 //! # One counting kernel, two key schedules
 //!
 //! Every level is counted the same way: each point's grid cell becomes an
-//! integer key, the keys are sorted, and one linear co-scan multiplies the
-//! run lengths of equal keys. The occupancy products are exact integer
-//! sums, so the plot is **bit-identical** whichever schedule built the
-//! keys and however many threads ran. Two key schedules feed the kernel:
+//! integer key, the keys are sorted, and **one pass** over the sorted keys
+//! sums the pairs of every run of equal cells. A cross join sorts both sets
+//! as one array, each key carrying a side tag in its lowest bit: a run of
+//! `C` keys, `C_A` of them from A, adds `C_A·(C − C_A)`; a self join's run
+//! adds `C(C−1)/2`. The sums are exact integers, so the plot is
+//! **bit-identical** whichever schedule built the keys and however many
+//! threads ran. Two key schedules feed the kernel:
 //!
 //! * **Morton, sorted once** — the paper's dyadic schedule (`ratio = 0.5`)
-//!   while `D · levels ≤ 128`. Each point is quantized **once** at the
-//!   finest grid level and bit-interleaved into a Morton key
-//!   ([`sjpl_index::MortonKey`], `u64` or `u128`); both key arrays are
-//!   sorted once (parallel chunk-sort + merge). Because a cell of the grid
-//!   `k` levels coarser is exactly the `D·k`-bit prefix of the finest-level
-//!   key, *every* level is one co-scan under a prefix shift.
+//!   while `D · levels ≤ 128`. Each raw point is quantized **once** at the
+//!   finest grid level, straight from its coordinates (the `bops.normalize`
+//!   span only finds the bounding box), and bit-interleaved into a Morton
+//!   key ([`sjpl_index::MortonKey`]) of the narrowest width that holds
+//!   `D · levels` bits plus the side tag: `u32` (2-d × 12 levels is 24
+//!   bits self, 25 cross), `u64` or `u128`. One sort orders the keys
+//!   ([`sjpl_index::par_sort_keys`]): an LSD radix sort in two passes over
+//!   exactly the used bits when there are at most 26 of them, else the
+//!   comparison sort, which beats a third radix pass.
+//!   Because a cell of the grid `k` levels coarser is exactly the
+//!   `D·k`-bit prefix of the finest-level key, the leading zeros of
+//!   `kᵢ ⊕ kᵢ₋₁` tell which levels' runs end between two neighbours, so
+//!   one scan counts *every* level. With threads, the sorted keys are
+//!   split into slices and a run straddling a split is carried across it.
 //! * **Per level** — every other schedule: non-dyadic ratios (coarser cells
 //!   are not aligned prefixes) and `D · levels > 128` (the Morton key would
-//!   overflow `u128`, e.g. 16-d with a deep dyadic schedule). At each level
-//!   the points are quantized afresh and their `D` cell coordinates packed
-//!   into the narrowest key holding `D · ⌈log₂ cells⌉` bits — `u64`,
-//!   `u128`, else the `[u32; D]` coordinates themselves — then sorted and
-//!   co-scanned at shift 0. A level whose whole key space
-//!   `2^(D · ⌈log₂ cells⌉)` is no larger than the input counts into a dense
-//!   array instead of sorting. Levels are independent, so they stripe over
-//!   the worker threads.
+//!   overflow `u128`, e.g. 16-d with a deep dyadic schedule). The points
+//!   are normalized into a copy once; at each level they are quantized
+//!   afresh and their `D` cell coordinates packed into the narrowest key
+//!   holding `D · ⌈log₂ cells⌉` bits plus the side tag — `u64`, `u128`,
+//!   else the `[u32; D]` coordinates with the tag alongside — then sorted
+//!   and counted by the same kernel at one level. A level whose whole key
+//!   space `2^(D · ⌈log₂ cells⌉)` is no larger than the input counts into
+//!   a dense array instead of sorting. Levels are independent, so they
+//!   stripe over the worker threads.
 //!
 //! The config picks the schedule. The per-level path is **not** silent: the
 //! config reports it before any work ([`BopsConfig::fallback`], which the
@@ -49,11 +61,9 @@
 //! < 2% of the end-to-end BOPS cost (see `BENCH_bops.json`,
 //! `obs_overhead`).
 
-use std::ops::{BitOr, Shl};
-
 use sjpl_geom::{NormalizeInfo, Point, PointSet};
 use sjpl_index::par::{fan_out, workers};
-use sjpl_index::{par_sort_unstable, MortonKey};
+use sjpl_index::{par_sort_keys, MortonKey};
 use sjpl_stats::{fit_loglog, FitOptions};
 
 use crate::{CoreError, JoinKind, PairCountLaw};
@@ -73,7 +83,7 @@ pub struct BopsConfig {
     /// samples the usable scale range much more densely at the same
     /// asymptotic cost.
     pub ratio: f64,
-    /// Worker threads for quantization, sorting, and per-level counting.
+    /// Worker threads for quantization, sorting, and counting.
     /// `1` (the default) is fully sequential; `0` means "one per available
     /// CPU".
     pub threads: usize,
@@ -128,7 +138,7 @@ impl BopsConfig {
     /// `levels` and `ratio`.
     pub fn fallback<const D: usize>(&self) -> Result<Option<String>, CoreError> {
         check_cfg(self)?;
-        Ok(key_schedule::<D>(self).1)
+        Ok(key_schedule::<D>(self, 0).1)
     }
 
     /// Same config with a worker-thread budget (`0` = one per CPU).
@@ -264,13 +274,22 @@ impl BopsPlot {
 
 /// The grid coordinate of `x` (normalized to `[0, 1]`) on an axis with
 /// `cells` cells of side `s`. The point at exactly 1.0 belongs to the last
-/// cell. **Both key schedules quantize through this one function** — the
+/// cell. The per-level schedule quantizes through this function; the
+/// Morton schedule's [`morton_coord`] multiplies by `1/s = 2^levels`
+/// instead, which rounds identically because `s` is a power of two — the
 /// bit-exactness guarantee starts here. `check_cfg` bounds `cells` by
 /// `u32::MAX`, so the saturating `u32` conversion clamps exactly like a
 /// `u64` one would, at half the cost.
 #[inline]
 fn cell_coord(x: f64, s: f64, cells: u64) -> u32 {
     ((x / s) as u32).min((cells - 1) as u32)
+}
+
+/// [`cell_coord`] at a dyadic side `s = 1/cells`, as a multiplication by
+/// `cells` (exact: scaling by a power of two only moves the exponent).
+#[inline]
+fn morton_coord(x: f64, cells: u32) -> u32 {
+    ((x * cells as f64) as u32).min(cells - 1)
 }
 
 #[inline]
@@ -311,6 +330,7 @@ fn check_cfg(cfg: &BopsConfig) -> Result<(), CoreError> {
 /// their width), or fresh keys at every level.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum KeySchedule {
+    Morton32,
     Morton64,
     Morton128,
     PerLevel,
@@ -319,6 +339,7 @@ enum KeySchedule {
 impl KeySchedule {
     fn name(self) -> &'static str {
         match self {
+            KeySchedule::Morton32 => "sorted-morton-32",
             KeySchedule::Morton64 => "sorted-morton-64",
             KeySchedule::Morton128 => "sorted-morton-128",
             KeySchedule::PerLevel => "sorted-per-level",
@@ -326,10 +347,12 @@ impl KeySchedule {
     }
 }
 
-/// Picks the key schedule for `cfg`. The second component is the reason
+/// Picks the key schedule for `cfg`; a cross join (`tag_bits = 1`) needs
+/// one more key bit for the side tag. The second component is the reason
 /// whenever the per-level path has to run — the caller records it on the
-/// plot, so the slower path is never silent.
-fn key_schedule<const D: usize>(cfg: &BopsConfig) -> (KeySchedule, Option<String>) {
+/// plot, so the slower path is never silent. The reason does not depend on
+/// the join kind.
+fn key_schedule<const D: usize>(cfg: &BopsConfig, tag_bits: u32) -> (KeySchedule, Option<String>) {
     let key_bits = D as u32 * cfg.levels;
     if !cfg.is_dyadic() {
         (
@@ -339,11 +362,7 @@ fn key_schedule<const D: usize>(cfg: &BopsConfig) -> (KeySchedule, Option<String
                 cfg.ratio
             )),
         )
-    } else if key_bits <= 64 {
-        (KeySchedule::Morton64, None)
-    } else if key_bits <= 128 {
-        (KeySchedule::Morton128, None)
-    } else {
+    } else if key_bits > 128 {
         (
             KeySchedule::PerLevel,
             Some(format!(
@@ -351,13 +370,22 @@ fn key_schedule<const D: usize>(cfg: &BopsConfig) -> (KeySchedule, Option<String
                 cfg.levels
             )),
         )
+    } else if key_bits + tag_bits <= 32 {
+        (KeySchedule::Morton32, None)
+    } else if key_bits + tag_bits <= 64 {
+        (KeySchedule::Morton64, None)
+    } else {
+        (KeySchedule::Morton128, None)
     }
 }
 
 /// Picks the key schedule, publishing the choice (and the reason for any
 /// per-level run) to the observability layer.
-fn key_schedule_observed<const D: usize>(cfg: &BopsConfig) -> (KeySchedule, Option<String>) {
-    let (schedule, reason) = key_schedule::<D>(cfg);
+fn key_schedule_observed<const D: usize>(
+    cfg: &BopsConfig,
+    tag_bits: u32,
+) -> (KeySchedule, Option<String>) {
+    let (schedule, reason) = key_schedule::<D>(cfg, tag_bits);
     match &reason {
         Some(reason) => {
             sjpl_obs::counter_add("bops.fallbacks", 1);
@@ -399,78 +427,191 @@ where
 // The counting kernel
 // ---------------------------------------------------------------------------
 
-/// `Σᵢ C_{A,i}·C_{B,i}`: co-scan two sorted key arrays, comparing keys
-/// through `cell` (the enclosing cell of a key at the level being counted),
-/// multiplying run lengths of equal cells.
-fn cross_prefix_product_sum<K: Copy, C: Ord>(a: &[K], b: &[K], cell: impl Fn(K) -> C) -> u64 {
-    let (mut i, mut j) = (0usize, 0usize);
-    let mut total = 0u64;
-    while i < a.len() && j < b.len() {
-        let pa = cell(a[i]);
-        let pb = cell(b[j]);
-        if pa < pb {
-            i += 1;
-        } else if pb < pa {
-            j += 1;
-        } else {
-            let mut ra = 1;
-            while i + ra < a.len() && cell(a[i + ra]) == pa {
-                ra += 1;
-            }
-            let mut rb = 1;
-            while j + rb < b.len() && cell(b[j + rb]) == pb {
-                rb += 1;
-            }
-            total += ra as u64 * rb as u64;
-            i += ra;
-            j += rb;
-        }
-    }
-    total
+/// A run of sorted keys that share one cell: `len` keys, `tagged` of them
+/// from the B side of a cross join.
+#[derive(Clone, Copy, Debug, Default)]
+struct Run {
+    len: u64,
+    tagged: u64,
 }
 
-/// `Σᵢ C_i(C_i−1)/2`: run lengths of equal cells in one sorted key array.
-fn self_prefix_pair_sum<K: Copy, C: Eq>(a: &[K], cell: impl Fn(K) -> C) -> u64 {
-    let mut i = 0usize;
-    let mut total = 0u64;
-    while i < a.len() {
-        let p = cell(a[i]);
-        let mut run = 1;
-        while i + run < a.len() && cell(a[i + run]) == p {
-            run += 1;
+impl Run {
+    /// The run's pairs: `C_A·C_B` in a cross join, `C(C−1)/2` in a self
+    /// join.
+    #[inline]
+    fn pairs<const CROSS: bool>(self) -> u64 {
+        if CROSS {
+            (self.len - self.tagged) * self.tagged
+        } else {
+            self.len * self.len.saturating_sub(1) / 2
         }
-        total += run as u64 * (run as u64 - 1) / 2;
-        i += run;
     }
-    total
+
+    fn join(self, other: Run) -> Run {
+        Run {
+            len: self.len + other.len,
+            tagged: self.tagged + other.tagged,
+        }
+    }
+}
+
+/// What [`count_runs`] saw of one slice, per level: the pairs of the runs
+/// that start and end inside it, its first run if one ends inside it (the
+/// one a run from a slice to the left may continue), and the run still
+/// open at its end.
+struct SliceRuns {
+    sums: Vec<u64>,
+    heads: Vec<Option<Run>>,
+    open: Vec<Run>,
+}
+
+/// The one counting pass over sorted `keys`, for every level at once.
+/// `ends(prev, key)` is how many levels, finest first, have a run ending
+/// between two neighbouring keys; `tag(key)` is 1 for a B-side key of a
+/// cross join. Each run end adds the run's pairs to its level's sum, except
+/// a level's first run, which is kept apart as its head.
+fn count_runs<K: Copy, const CROSS: bool>(
+    keys: &[K],
+    levels: usize,
+    ends: impl Fn(K, K) -> usize,
+    tag: impl Fn(K) -> u64,
+) -> SliceRuns {
+    let mut sums = vec![0u64; levels];
+    let mut heads = vec![None; levels];
+    // Per level: the index where the open run started and the tagged keys
+    // before it.
+    let mut start = vec![(0u64, 0u64); levels];
+    let mut tagged = 0u64;
+    // Levels below `headed` have closed their first run. Run ends come
+    // finest first, so these are always a prefix of the levels.
+    let mut headed = 0;
+    if let Some((&first, rest)) = keys.split_first() {
+        let mut prev = first;
+        for (j, &k) in (1u64..).zip(rest) {
+            if CROSS {
+                tagged += tag(prev);
+            }
+            let e = ends(prev, k);
+            if e > headed {
+                // The levels' first runs end here: keep them as heads and
+                // restart those levels, so the loop below adds empty runs.
+                heads[headed..e].fill(Some(Run { len: j, tagged }));
+                start[headed..e].fill((j, tagged));
+                headed = e;
+            }
+            for (sum, st) in sums[..e].iter_mut().zip(&mut start[..e]) {
+                let run = Run {
+                    len: j - st.0,
+                    tagged: tagged - st.1,
+                };
+                *sum += run.pairs::<CROSS>();
+                *st = (j, tagged);
+            }
+            prev = k;
+        }
+        if CROSS {
+            tagged += tag(prev);
+        }
+    }
+    let n = keys.len() as u64;
+    let open = start
+        .iter()
+        .map(|&(i, t)| Run {
+            len: n - i,
+            tagged: tagged - t,
+        })
+        .collect();
+    SliceRuns { sums, heads, open }
+}
+
+/// Sums every level's pairs over sorted `keys` with [`count_runs`], on up
+/// to `threads` workers. Each worker counts one slice, timed as a
+/// `bops.scan.worker` span under `ctx` when there are several; a run that
+/// straddles a slice boundary is carried across it and counted once, so
+/// the integer sums do not depend on the split.
+fn count_sorted<K: Copy + Send + Sync, const CROSS: bool>(
+    keys: &[K],
+    levels: usize,
+    threads: usize,
+    ctx: sjpl_obs::SpanContext,
+    ends: impl Fn(K, K) -> usize + Sync,
+    tag: impl Fn(K) -> u64 + Sync,
+) -> Vec<u64> {
+    let n = keys.len();
+    let t = workers(n, MIN_POINTS_PER_THREAD, threads);
+    let chunk = n.div_ceil(t).max(1);
+    let slices = fan_out(keys.chunks(chunk), |part| {
+        let _worker = (t > 1).then(|| sjpl_obs::span_under("bops.scan.worker", ctx));
+        count_runs::<K, CROSS>(part, levels, &ends, &tag)
+    });
+    let mut totals = vec![0u64; levels];
+    let mut carry = vec![Run::default(); levels];
+    for (w, slice) in slices.into_iter().enumerate() {
+        // Levels below `seam` end a run at the slice boundary.
+        let seam = match w {
+            0 => 0,
+            _ => ends(keys[w * chunk - 1], keys[w * chunk]),
+        };
+        for i in 0..levels {
+            if i < seam {
+                totals[i] += carry[i].pairs::<CROSS>();
+                carry[i] = Run::default();
+            }
+            match slice.heads[i] {
+                Some(head) => {
+                    totals[i] += slice.sums[i] + carry[i].join(head).pairs::<CROSS>();
+                    carry[i] = slice.open[i];
+                }
+                // No run ends inside: the slice extends the carry.
+                None => carry[i] = carry[i].join(slice.open[i]),
+            }
+        }
+    }
+    for (total, run) in totals.iter_mut().zip(carry) {
+        *total += run.pairs::<CROSS>();
+    }
+    totals
 }
 
 // ---------------------------------------------------------------------------
 // Morton keys, sorted once
 // ---------------------------------------------------------------------------
 
-/// Quantizes every point at the finest dyadic level and interleaves the
-/// coordinates into Morton keys, fanning out over `threads`.
+/// Quantizes every point of `sets` straight from its raw coordinates at
+/// the finest dyadic level and interleaves the cell coordinates into
+/// Morton keys, fanning out over `threads`. With `tag_bits = 1` each key
+/// is shifted up one bit and set `i`'s keys carry tag `i` (a cross join's
+/// A side 0, B side 1).
 fn morton_keys<K: MortonKey, const D: usize>(
-    pts: &[Point<D>],
+    sets: &[&[Point<D>]],
+    info: &NormalizeInfo<D>,
     levels: u32,
+    tag_bits: u32,
     threads: usize,
 ) -> Vec<K> {
-    let s = 0.5f64.powi(levels as i32);
-    let cells = 1u64 << levels;
-    let mut keys = vec![K::default(); pts.len()];
-    let chunk = pts
-        .len()
-        .div_ceil(workers(pts.len(), MIN_POINTS_PER_THREAD, threads))
-        .max(1);
-    let chunks = keys.chunks_mut(chunk).zip(pts.chunks(chunk));
-    // `move`: the key parameters travel by value, so the loop keeps them in
-    // registers instead of reloading them through a captured reference.
-    fan_out(chunks, move |(kc, pc)| {
-        for (k, p) in kc.iter_mut().zip(pc) {
-            *k = K::interleave(&cell_key(p, cells, s), levels);
-        }
-    });
+    let cells = 1u32 << levels;
+    let mut keys = vec![K::default(); sets.iter().map(|s| s.len()).sum()];
+    let mut rest = keys.as_mut_slice();
+    for (tag, pts) in (0u32..).zip(sets) {
+        let (out, tail) = rest.split_at_mut(pts.len());
+        rest = tail;
+        let chunk = pts
+            .len()
+            .div_ceil(workers(pts.len(), MIN_POINTS_PER_THREAD, threads))
+            .max(1);
+        let chunks = out.chunks_mut(chunk).zip(pts.chunks(chunk));
+        let (info, tag) = (*info, K::from(tag));
+        // `move`: the key parameters travel by value, so the loop keeps them
+        // in registers instead of reloading them through a captured
+        // reference.
+        fan_out(chunks, move |(kc, pc)| {
+            for (k, p) in kc.iter_mut().zip(pc) {
+                let q = info.apply(p);
+                let coords: [u32; D] = std::array::from_fn(|i| morton_coord(q[i], cells));
+                *k = (K::interleave(&coords, levels) << tag_bits) | tag;
+            }
+        });
+    }
     keys
 }
 
@@ -479,27 +620,55 @@ fn morton_keys<K: MortonKey, const D: usize>(
 fn morton_values<K: MortonKey, const D: usize>(
     a: &[Point<D>],
     b: Option<&[Point<D>]>,
+    info: &NormalizeInfo<D>,
     levels: u32,
     threads: usize,
 ) -> Vec<u64> {
+    let bits = D as u32 * levels;
+    // The side tag takes the lowest key bit, when there is one to spare.
+    let tag_bits = u32::from(b.is_some() && bits < K::WIDTH);
     let quantize = sjpl_obs::span("bops.quantize");
-    let mut ka = morton_keys::<K, D>(a, levels, threads);
-    let mut kb = b.map(|b| morton_keys::<K, D>(b, levels, threads));
+    let sets: Vec<&[Point<D>]> = std::iter::once(a).chain(b).collect();
+    let mut keys = morton_keys::<K, D>(&sets, info, levels, tag_bits, threads);
     quantize.close();
-    let sort = sjpl_obs::span("bops.sort");
-    par_sort_unstable(&mut ka, threads);
-    if let Some(kb) = &mut kb {
-        par_sort_unstable(kb, threads);
-    }
-    sort.close();
-    let scan = sjpl_obs::span("bops.scan");
-    per_level(levels, threads, scan.context(), |i| {
-        let shift = D as u32 * i;
-        match &kb {
-            Some(kb) => cross_prefix_product_sum(&ka, kb, |k| k.shr(shift)),
-            None => self_prefix_pair_sum(&ka, |k| k.shr(shift)),
+    // `lz(prev ⊕ key)` gives the highest differing bit; the levels whose
+    // cells split there or finer end a run.
+    let mut ends_at = vec![0u8; K::WIDTH as usize + 1];
+    for (lz, e) in ends_at.iter_mut().enumerate().take(K::WIDTH as usize) {
+        let bit = K::WIDTH - 1 - lz as u32;
+        if bit >= tag_bits {
+            *e = ((bit - tag_bits) / D as u32 + 1).min(levels) as u8;
         }
-    })
+    }
+    let ends = |prev: K, k: K| ends_at[(prev ^ k).leading_zeros() as usize] as usize;
+    let count = |keys: &mut [K], cross: bool| {
+        let sort = sjpl_obs::span("bops.sort");
+        par_sort_keys(keys, bits + tag_bits, threads);
+        sort.close();
+        let scan = sjpl_obs::span("bops.scan");
+        let (levels, ctx) = (levels as usize, scan.context());
+        if cross {
+            count_sorted::<K, true>(keys, levels, threads, ctx, ends, |k| k.low_u64() & 1)
+        } else {
+            count_sorted::<K, false>(keys, levels, threads, ctx, ends, |_| 0)
+        }
+    };
+    if b.is_some() && tag_bits == 0 {
+        // No bit left for the tag (`D · levels = 128`). Per cell,
+        // `C(C−1)/2 = C_A(C_A−1)/2 + C_B(C_B−1)/2 + C_A·C_B`, so the cross
+        // sum is self(A ∪ B) − self(A) − self(B).
+        let (ka, kb) = keys.split_at(a.len());
+        let (mut ka, mut kb) = (ka.to_vec(), kb.to_vec());
+        let (sa, sb) = (count(&mut ka, false), count(&mut kb, false));
+        let all = count(&mut keys, false);
+        return all
+            .iter()
+            .zip(sa)
+            .zip(sb)
+            .map(|((u, x), y)| u - x - y)
+            .collect();
+    }
+    count(&mut keys, tag_bits == 1)
 }
 
 // ---------------------------------------------------------------------------
@@ -508,31 +677,32 @@ fn morton_values<K: MortonKey, const D: usize>(
 
 /// Packs `D` cell coordinates of `bits` bits each into one integer key.
 #[inline]
-fn pack<K, const D: usize>(coords: [u32; D], bits: u32) -> K
-where
-    K: From<u32> + Shl<u32, Output = K> + BitOr<Output = K>,
-{
+fn pack<K: MortonKey, const D: usize>(coords: [u32; D], bits: u32) -> K {
     coords
         .into_iter()
         .fold(K::from(0), |k, c| (k << bits) | K::from(c))
 }
 
-/// One level's sum from sorted keys: the cross join when `b` is given, else
-/// the self join of `a`.
-fn sorted_level<K: Ord + Copy, const D: usize>(
+/// One level's sum from sorted keys: `key(p, side)` is a point's key
+/// carrying its side (0 for A, 1 for B), `same_cell` compares two keys'
+/// cells and `side` reads a cross join key's side back.
+fn sorted_level<K: Ord + Copy + Send + Sync, const D: usize>(
     a: &[Point<D>],
     b: Option<&[Point<D>]>,
-    key: impl Fn(&Point<D>) -> K,
+    key: impl Fn(&Point<D>, u32) -> K,
+    same_cell: impl Fn(K, K) -> bool + Sync,
+    side: impl Fn(K) -> u64 + Sync,
 ) -> u64 {
-    let sorted_keys = |pts: &[Point<D>]| {
-        let mut keys: Vec<K> = pts.iter().map(&key).collect();
-        keys.sort_unstable();
-        keys
-    };
-    let ka = sorted_keys(a);
+    let mut keys = Vec::with_capacity(a.len() + b.map_or(0, <[_]>::len));
+    keys.extend(a.iter().map(|p| key(p, 0)));
+    keys.extend(b.iter().flat_map(|b| b.iter().map(|p| key(p, 1))));
+    keys.sort_unstable();
+    let ends = |prev: K, k: K| usize::from(!same_cell(prev, k));
+    // One thread: the caller already runs one level per worker.
+    let ctx = sjpl_obs::SpanContext::root();
     match b {
-        Some(b) => cross_prefix_product_sum(&ka, &sorted_keys(b), |k| k),
-        None => self_prefix_pair_sum(&ka, |k| k),
+        Some(_) => count_sorted::<K, true>(&keys, 1, 1, ctx, ends, side)[0],
+        None => count_sorted::<K, false>(&keys, 1, 1, ctx, ends, |_| 0)[0],
     }
 }
 
@@ -567,22 +737,28 @@ fn dense_level<const D: usize>(
     total
 }
 
-/// One level of the per-level path at cell side `s`, keyed by the
-/// narrowest representation of the level's cell coordinates.
+/// One level of the per-level path at cell side `s` over normalized
+/// points, keyed by the narrowest representation of the level's cell
+/// coordinates.
 fn per_level_count<const D: usize>(a: &[Point<D>], b: Option<&[Point<D>]>, s: f64) -> u64 {
     let cells = cells_per_axis(s);
     let bits = u64::BITS - (cells - 1).leading_zeros();
     let key_bits = D as u32 * bits;
+    let t = u32::from(b.is_some());
     let coords = |p: &Point<D>| cell_key(p, cells, s);
     let n = a.len() + b.map_or(0, <[_]>::len);
     if key_bits < 64 && 1u64 << key_bits <= n as u64 {
         dense_level(a, b, 1 << key_bits, |p| pack::<u64, D>(coords(p), bits))
-    } else if key_bits <= 64 {
-        sorted_level(a, b, |p| pack::<u64, D>(coords(p), bits))
-    } else if key_bits <= 128 {
-        sorted_level(a, b, |p| pack::<u128, D>(coords(p), bits))
+    } else if key_bits + t <= 64 {
+        // The side tag takes the lowest bit of a packed key.
+        let key = |p: &Point<D>, s| (pack::<u64, D>(coords(p), bits) << t) | u64::from(s);
+        sorted_level(a, b, key, |x, y| (x ^ y) >> t == 0, |k| k & 1)
+    } else if key_bits + t <= 128 {
+        let key = |p: &Point<D>, s| (pack::<u128, D>(coords(p), bits) << t) | u128::from(s);
+        sorted_level(a, b, key, |x, y| (x ^ y) >> t == 0, |k| (k & 1) as u64)
     } else {
-        sorted_level(a, b, coords)
+        let key = |p: &Point<D>, s| (coords(p), s);
+        sorted_level(a, b, key, |x, y| x.0 == y.0, |k| u64::from(k.1))
     }
 }
 
@@ -622,7 +798,7 @@ pub(crate) fn plot<const D: usize>(
     cfg: &BopsConfig,
 ) -> Result<BopsPlot, CoreError> {
     check_cfg(cfg)?;
-    let (schedule, fallback) = key_schedule_observed::<D>(cfg);
+    let (schedule, fallback) = key_schedule_observed::<D>(cfg, u32::from(b.is_some()));
     let (kind, m, too_small) = match b {
         Some(b) => (JoinKind::Cross, b.len(), a.is_empty() || b.is_empty()),
         None => (JoinKind::SelfJoin, a.len(), a.len() < 2),
@@ -645,17 +821,24 @@ pub(crate) fn plot<const D: usize>(
     let normalize = sjpl_obs::span("bops.normalize");
     let sets: Vec<&PointSet<D>> = std::iter::once(a).chain(b).collect();
     let info = NormalizeInfo::from_sets(&sets)?;
-    let na = a.normalized(&info);
-    let nb = b.map(|b| b.normalized(&info));
     normalize.close();
-    let (pa, pb) = (na.points(), nb.as_ref().map(PointSet::points));
+    let (pa, pb) = (a.points(), b.map(PointSet::points));
+    let (levels, threads) = (cfg.levels, cfg.threads);
     let sides = cfg.sides();
     let values = match schedule {
-        KeySchedule::Morton64 => morton_values::<u64, D>(pa, pb, cfg.levels, cfg.threads),
-        KeySchedule::Morton128 => morton_values::<u128, D>(pa, pb, cfg.levels, cfg.threads),
+        KeySchedule::Morton32 => morton_values::<u32, D>(pa, pb, &info, levels, threads),
+        KeySchedule::Morton64 => morton_values::<u64, D>(pa, pb, &info, levels, threads),
+        KeySchedule::Morton128 => morton_values::<u128, D>(pa, pb, &info, levels, threads),
         KeySchedule::PerLevel => {
+            // Every level quantizes every point again, so this schedule
+            // normalizes a copy once instead of at each level.
+            let normalize = sjpl_obs::span("bops.normalize");
+            let na = a.normalized(&info);
+            let nb = b.map(|b| b.normalized(&info));
+            normalize.close();
+            let (pa, pb) = (na.points(), nb.as_ref().map(PointSet::points));
             let scan = sjpl_obs::span("bops.scan");
-            per_level(cfg.levels, cfg.threads, scan.context(), |i| {
+            per_level(levels, threads, scan.context(), |i| {
                 per_level_count(pa, pb, sides[i as usize])
             })
         }
@@ -814,37 +997,66 @@ mod tests {
     }
 
     #[test]
+    fn morton_coord_matches_cell_coord_on_dyadic_sides() {
+        for levels in 1..=31 {
+            let s = 0.5f64.powi(levels);
+            let cells = 1u32 << levels;
+            let ks = (0..64).chain([cells - 1, cells, cells.saturating_add(1)]);
+            for k in ks {
+                let ks = k as f64 * s;
+                for x in [
+                    0.0,
+                    1.0,
+                    ks,
+                    ks.next_up(),
+                    ks.next_down(),
+                    2.0,
+                    1e12,
+                    1e-310,
+                ] {
+                    assert_eq!(
+                        morton_coord(x, cells),
+                        cell_coord(x, s, cells as u64),
+                        "x = {x:e}, s = {s:e}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn auto_resolution_picks_the_expected_engine() {
-        assert_eq!(
-            key_schedule::<2>(&BopsConfig::dyadic(12)).0,
-            KeySchedule::Morton64
-        );
-        assert_eq!(
-            key_schedule::<8>(&BopsConfig::dyadic(12)).0,
-            KeySchedule::Morton128
-        );
-        assert_eq!(
-            key_schedule::<8>(&BopsConfig::dyadic(16)).0,
-            KeySchedule::Morton128
-        );
-        assert_eq!(
-            key_schedule::<16>(&BopsConfig::dyadic(12)).0,
-            KeySchedule::PerLevel
-        );
-        assert_eq!(
-            key_schedule::<2>(&BopsConfig::high_dimensional()).0,
-            KeySchedule::PerLevel
-        );
+        let schedule = |d: usize, cfg: BopsConfig, tag_bits: u32| match d {
+            2 => key_schedule::<2>(&cfg, tag_bits).0,
+            4 => key_schedule::<4>(&cfg, tag_bits).0,
+            8 => key_schedule::<8>(&cfg, tag_bits).0,
+            _ => key_schedule::<16>(&cfg, tag_bits).0,
+        };
+        use KeySchedule::*;
+        // (dimension, config, self schedule, cross schedule)
+        let cases = [
+            (2, BopsConfig::dyadic(12), Morton32, Morton32),
+            (2, BopsConfig::dyadic(16), Morton32, Morton64),
+            (4, BopsConfig::dyadic(16), Morton64, Morton128),
+            (8, BopsConfig::dyadic(12), Morton128, Morton128),
+            (8, BopsConfig::dyadic(16), Morton128, Morton128),
+            (16, BopsConfig::dyadic(12), PerLevel, PerLevel),
+            (2, BopsConfig::high_dimensional(), PerLevel, PerLevel),
+        ];
+        for (d, cfg, self_join, cross) in cases {
+            assert_eq!(schedule(d, cfg, 0), self_join, "{d}-d self {cfg:?}");
+            assert_eq!(schedule(d, cfg, 1), cross, "{d}-d cross {cfg:?}");
+        }
     }
 
     #[test]
     fn per_level_fallback_is_reported_not_silent() {
         // 16-d x 12 dyadic levels: 192 key bits — the per-level path runs
         // and the plot says why.
-        let (_, reason) = key_schedule::<16>(&BopsConfig::dyadic(12));
+        let (_, reason) = key_schedule::<16>(&BopsConfig::dyadic(12), 0);
         assert!(reason.unwrap().contains("192"));
         // Non-dyadic ratio: the other trigger.
-        let (_, reason) = key_schedule::<2>(&BopsConfig::high_dimensional());
+        let (_, reason) = key_schedule::<2>(&BopsConfig::high_dimensional(), 1);
         assert!(reason.unwrap().contains("non-dyadic"));
         // End to end: the plot carries the reason and the schedule name.
         let hd = sjpl_datagen::manifold::eigenfaces_like(100, 1);
@@ -855,7 +1067,7 @@ mod tests {
         let ahead = BopsConfig::dyadic(12).fallback::<16>().unwrap();
         assert_eq!(ahead.as_deref(), plot.fallback());
         let fast = bops_plot_self(&uniform(100, 2), &BopsConfig::dyadic(12)).unwrap();
-        assert_eq!(fast.engine_used(), "sorted-morton-64");
+        assert_eq!(fast.engine_used(), "sorted-morton-32");
         assert!(fast.fallback().is_none());
         assert_eq!(BopsConfig::dyadic(12).fallback::<2>().unwrap(), None);
         // A config the plot would reject is rejected here too.
@@ -904,21 +1116,26 @@ mod tests {
     /// per-level keys (dense at the coarse levels, `u64` then `u128` at the
     /// fine ones) against one sort of the Morton keys.
     fn assert_schedules_agree<K: MortonKey, const D: usize>(
-        a: &[Point<D>],
-        b: &[Point<D>],
+        a: &PointSet<D>,
+        b: &PointSet<D>,
         levels: u32,
     ) {
+        let info = NormalizeInfo::from_sets(&[a, b]).unwrap();
+        let (a, b) = (a.points(), b.points());
         let sides = BopsConfig::dyadic(levels).sides();
         let per_level = |b: Option<&[Point<D>]>| -> Vec<u64> {
-            sides.iter().map(|&s| per_level_count(a, b, s)).collect()
+            let na = PointSet::new("a", a.to_vec()).normalized(&info);
+            let nb = b.map(|b| PointSet::new("b", b.to_vec()).normalized(&info));
+            let (na, nb) = (na.points(), nb.as_ref().map(PointSet::points));
+            sides.iter().map(|&s| per_level_count(na, nb, s)).collect()
         };
         assert_eq!(
-            morton_values::<K, D>(a, Some(b), levels, 1),
+            morton_values::<K, D>(a, Some(b), &info, levels, 1),
             per_level(Some(b)),
             "{D}-d cross"
         );
         assert_eq!(
-            morton_values::<K, D>(a, None, levels, 1),
+            morton_values::<K, D>(a, None, &info, levels, 1),
             per_level(None),
             "{D}-d self"
         );
@@ -928,10 +1145,66 @@ mod tests {
     fn engines_agree_bit_for_bit_on_cross_and_self() {
         let a = uniform(1_500, 21);
         let b = uniform(1_200, 22);
-        assert_schedules_agree::<u64, 2>(a.points(), b.points(), 10);
+        assert_schedules_agree::<u32, 2>(&a, &b, 10);
+        assert_schedules_agree::<u64, 2>(&a, &b, 10);
         let a = sjpl_datagen::uniform::unit_cube::<8>(600, 23);
         let b = sjpl_datagen::uniform::unit_cube::<8>(500, 24);
-        assert_schedules_agree::<u128, 8>(a.points(), b.points(), 12);
+        assert_schedules_agree::<u128, 8>(&a, &b, 12);
+        // 8 x 16 = 128 bits leaves no room for the side tag: the cross
+        // join is counted from three self joins instead.
+        assert_schedules_agree::<u128, 8>(&a, &b, 16);
+    }
+
+    /// The one-pass kernel against a direct count of each level's runs,
+    /// with the sorted keys split at every slice size: a run carried across
+    /// any number of slice boundaries is still counted once.
+    #[test]
+    fn split_scans_carry_runs_across_slices() {
+        let mut rng_state = 7u64;
+        let mut next = move || {
+            rng_state = rng_state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (rng_state >> 33) as u32
+        };
+        // 3 levels of 2 bits, tag in bit 0, but only 4 cell bits used: at
+        // the middle level runs outgrow a slice, and the coarsest level is
+        // one run through every slice; every run holds both sides.
+        let mut keys: Vec<u32> = (0..20_000)
+            .map(|_| (next() & 0xf) << 1 | (next() & 1))
+            .collect();
+        keys.sort_unstable();
+        let root = sjpl_obs::SpanContext::root();
+        let ends = |p: u32, k: u32| {
+            let x = (p ^ k) >> 1;
+            (0..3).take_while(|l| x >> (2 * l) != 0).count()
+        };
+        let direct: Vec<u64> = (0..3)
+            .map(|l| {
+                let mut total = 0;
+                for cell in 0..(64 >> (2 * l)) {
+                    let run = keys.iter().filter(|&&k| k >> (1 + 2 * l) == cell);
+                    let (n, t) = run.fold((0u64, 0u64), |(n, t), &k| (n + 1, t + (k & 1) as u64));
+                    total += (n - t) * t;
+                }
+                total
+            })
+            .collect();
+        for threads in [1, 2, 3, 4, 5, 16] {
+            let got = count_sorted::<u32, true>(&keys, 3, threads, root, ends, |k| (k & 1) as u64);
+            assert_eq!(got, direct, "{threads} threads");
+        }
+        let self_direct: Vec<u64> = (0..3)
+            .map(|l| {
+                (0..(128u32 >> (2 * l)))
+                    .map(|cell| keys.iter().filter(|&&k| k >> (2 * l) == cell).count() as u64)
+                    .map(|c| c * c.saturating_sub(1) / 2)
+                    .sum()
+            })
+            .collect();
+        let self_ends = |p: u32, k: u32| (0..3).take_while(|l| (p ^ k) >> (2 * l) != 0).count();
+        for threads in [1, 2, 3, 4, 5, 16] {
+            let got = count_sorted::<u32, false>(&keys, 3, threads, root, self_ends, |_| 0);
+            assert_eq!(got, self_direct, "self, {threads} threads");
+        }
     }
 
     #[test]

@@ -24,7 +24,8 @@
 //!   BOPS keys on the paper's dyadic grid schedule.
 //! * [`par`] — the parallel primitives every kernel above and sjpl-core's
 //!   BOPS share: the [`par::workers`] thread-count rule, the scoped
-//!   [`par::fan_out`], and a parallel chunk-sort + merge.
+//!   [`par::fan_out`], and a parallel key sort (radix or comparison
+//!   chunk-sort + merge).
 //!
 //! Pair-count semantics follow the paper exactly: cross joins count ordered
 //! `(a, b)` pairs (up to `N·M`); self joins omit self-pairs and count each
@@ -50,7 +51,7 @@ pub mod sweep;
 pub use join::{pair_count, self_pair_count, JoinAlgorithm};
 pub use kdtree::KdTree;
 pub use morton::MortonKey;
-pub use par::par_sort_unstable;
+pub use par::par_sort_keys;
 pub use partition::{
     par_sweep_join_count, par_sweep_join_count_sorted, par_sweep_self_join_count,
     par_sweep_self_join_count_sorted,

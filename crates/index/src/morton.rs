@@ -2,15 +2,33 @@
 //!
 //! A Morton key bit-interleaves the quantized coordinates of a point, so
 //! the points of any aligned grid cell occupy one contiguous range of the
-//! sorted keys ([ORE 86]). sjpl-core's sorted-Morton BOPS engine sorts the
-//! keys once and reads every coarser grid level off them by truncation.
+//! sorted keys ([ORE 86]). sjpl-core's BOPS Morton schedule sorts the keys
+//! once and reads every coarser grid level off them by truncation.
+
+use std::ops::{BitOr, BitXor, Shl, Shr};
 
 /// An unsigned integer wide enough to hold `D · bits` interleaved bits —
-/// the key type of a Morton (Z-order) code. Implemented for `u64` and
-/// `u128`; callers pick the narrowest type that fits so the hot sort/scan
-/// paths avoid 128-bit arithmetic when 64 bits suffice (e.g. the BOPS
-/// sorted-Morton engine in `sjpl-core`).
-pub trait MortonKey: Copy + Ord + Send + Sync + Default {
+/// the key type of a Morton (Z-order) code. Implemented for `u32`, `u64`
+/// and `u128`; callers pick the narrowest type that fits, so the hot
+/// sort/scan paths move as few bytes as the key needs (e.g. the BOPS
+/// Morton keys in `sjpl-core`, and [`crate::par::par_sort_keys`]).
+///
+/// Shifting a key right by `D·k` bits yields the key of the enclosing cell
+/// `k` dyadic levels coarser, so two keys share that cell exactly when
+/// their XOR has no bit at or above bit `D·k` — which the leading zeros of
+/// the XOR tell for every level at once.
+pub trait MortonKey:
+    Copy
+    + Ord
+    + Send
+    + Sync
+    + Default
+    + From<u32>
+    + BitOr<Output = Self>
+    + BitXor<Output = Self>
+    + Shl<u32, Output = Self>
+    + Shr<u32, Output = Self>
+{
     /// Total key width in bits.
     const WIDTH: u32;
 
@@ -19,9 +37,11 @@ pub trait MortonKey: Copy + Ord + Send + Sync + Default {
     /// coarser-grid ancestor share a key prefix.
     fn interleave<const D: usize>(idx: &[u32; D], bits: u32) -> Self;
 
-    /// Logical shift right — truncating a key by `D·k` bits yields the key
-    /// of the enclosing cell `k` dyadic levels coarser.
-    fn shr(self, shift: u32) -> Self;
+    /// The low 64 bits of the key (a radix digit, after a shift and mask).
+    fn low_u64(self) -> u64;
+
+    /// The number of leading zero bits (`WIDTH` for zero).
+    fn leading_zeros(self) -> u32;
 }
 
 /// Spreads the low 32 bits of `x` so a zero bit separates consecutive
@@ -36,7 +56,19 @@ fn spread_bits_2d(x: u64) -> u64 {
     (x | (x << 1)) & 0x5555_5555_5555_5555
 }
 
-/// Generic bit-by-bit interleave, shared by both key widths.
+/// The `u64` interleave, shared by the 32- and 64-bit keys: identity in
+/// 1-d, Part1By1 in 2-d, else the bit-by-bit loop.
+#[inline]
+fn interleave_u64<const D: usize>(idx: &[u32; D], bits: u32) -> u64 {
+    match D {
+        1 => idx[0] as u64,
+        // Axis 0 occupies the higher bit of each 2-bit digit.
+        2 => (spread_bits_2d(idx[0] as u64) << 1) | spread_bits_2d(idx[1] as u64),
+        _ => interleave_loop(idx, bits) as u64,
+    }
+}
+
+/// Generic bit-by-bit interleave, shared by every key width.
 #[inline]
 fn interleave_loop<const D: usize>(idx: &[u32; D], bits: u32) -> u128 {
     let mut key = 0u128;
@@ -48,23 +80,43 @@ fn interleave_loop<const D: usize>(idx: &[u32; D], bits: u32) -> u128 {
     key
 }
 
+impl MortonKey for u32 {
+    const WIDTH: u32 = 32;
+
+    #[inline]
+    fn interleave<const D: usize>(idx: &[u32; D], bits: u32) -> u32 {
+        debug_assert!(D as u32 * bits <= 32);
+        interleave_u64(idx, bits) as u32
+    }
+
+    #[inline]
+    fn low_u64(self) -> u64 {
+        self as u64
+    }
+
+    #[inline]
+    fn leading_zeros(self) -> u32 {
+        u32::leading_zeros(self)
+    }
+}
+
 impl MortonKey for u64 {
     const WIDTH: u32 = 64;
 
     #[inline]
     fn interleave<const D: usize>(idx: &[u32; D], bits: u32) -> u64 {
         debug_assert!(D as u32 * bits <= 64);
-        match D {
-            1 => idx[0] as u64,
-            // Axis 0 occupies the higher bit of each 2-bit digit.
-            2 => (spread_bits_2d(idx[0] as u64) << 1) | spread_bits_2d(idx[1] as u64),
-            _ => interleave_loop(idx, bits) as u64,
-        }
+        interleave_u64(idx, bits)
     }
 
     #[inline]
-    fn shr(self, shift: u32) -> u64 {
-        self >> shift
+    fn low_u64(self) -> u64 {
+        self
+    }
+
+    #[inline]
+    fn leading_zeros(self) -> u32 {
+        u64::leading_zeros(self)
     }
 }
 
@@ -78,8 +130,13 @@ impl MortonKey for u128 {
     }
 
     #[inline]
-    fn shr(self, shift: u32) -> u128 {
-        self >> shift
+    fn low_u64(self) -> u64 {
+        self as u64
+    }
+
+    #[inline]
+    fn leading_zeros(self) -> u32 {
+        u128::leading_zeros(self)
     }
 }
 
@@ -110,27 +167,37 @@ mod tests {
         idx
     }
 
-    fn u64_matches_u128<const D: usize>(seed: u64) {
+    fn narrow_keys_match_u128<const D: usize>(seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
         for bits in 0..=(64 / D as u32).min(32) {
             for _ in 0..200 {
                 let idx = random_idx::<D>(&mut rng, bits);
-                assert_eq!(
-                    u64::interleave(&idx, bits) as u128,
-                    u128::interleave(&idx, bits),
-                    "D {D} bits {bits} idx {idx:?}"
-                );
+                let wide = u128::interleave(&idx, bits);
+                let msg = format!("D {D} bits {bits} idx {idx:?}");
+                assert_eq!(u64::interleave(&idx, bits) as u128, wide, "{msg}");
+                if D as u32 * bits <= 32 {
+                    assert_eq!(u32::interleave(&idx, bits) as u128, wide, "{msg}");
+                }
             }
         }
     }
 
     #[test]
     fn u64_keys_equal_u128_keys_when_they_fit() {
-        // D = 1 and D = 2 take the u64 fast paths (identity, Part1By1);
-        // D = 3 takes the shared loop.
-        u64_matches_u128::<1>(1);
-        u64_matches_u128::<2>(2);
-        u64_matches_u128::<3>(3);
+        // D = 1 and D = 2 take the fast paths (identity, Part1By1); D = 3
+        // takes the shared loop.
+        narrow_keys_match_u128::<1>(1);
+        narrow_keys_match_u128::<2>(2);
+        narrow_keys_match_u128::<3>(3);
+    }
+
+    #[test]
+    fn leading_zeros_and_low_bits_follow_the_integer() {
+        assert_eq!(MortonKey::leading_zeros(0u32), 32);
+        assert_eq!(MortonKey::leading_zeros(1u64 << 40), 23);
+        assert_eq!(MortonKey::leading_zeros(1u128 << 100), 27);
+        assert_eq!(((7u128 << 70) | 5).low_u64(), 5);
+        assert_eq!(u32::MAX.low_u64(), u32::MAX as u64);
     }
 
     fn shift_is_coarser_level<K: MortonKey + std::fmt::Debug, const D: usize>(
@@ -147,13 +214,14 @@ mod tests {
             // Stop short of shifting by the whole key width.
             for k in (0..=bits).take_while(|k| D as u32 * k < K::WIDTH) {
                 let coarse = K::interleave(&quantize(&p, bits - k), bits - k);
-                assert_eq!(fine.shr(D as u32 * k), coarse, "D {D} bits {bits} k {k}");
+                assert_eq!(fine >> (D as u32 * k), coarse, "D {D} bits {bits} k {k}");
             }
         }
     }
 
     #[test]
     fn shifting_a_key_gives_the_coarser_cell_key() {
+        shift_is_coarser_level::<u32, 2>(16, 10);
         shift_is_coarser_level::<u64, 1>(32, 4);
         shift_is_coarser_level::<u64, 2>(32, 5);
         shift_is_coarser_level::<u64, 3>(21, 6);

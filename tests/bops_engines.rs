@@ -2,10 +2,14 @@
 //! `bops_plot_self` must equal a per-level `BTreeMap` occupancy count — the
 //! Figure 7 algorithm, verbatim — **bit for bit**, for every input,
 //! dimension, join kind, grid schedule and thread count. The configs cover
-//! every key the counting kernel builds: Morton `u64` (1-, 2-, 3-d dyadic)
-//! and `u128` (8-d dyadic), and on the per-level path packed `u64` /
-//! `u128` keys, `[u32; D]` array keys (16-d dyadic, 192 key bits) and dense
+//! every key the counting kernel builds: Morton `u32` (1-, 2-d dyadic),
+//! `u64` (3-d dyadic, and both sides of the 32- and 64-bit boundaries) and
+//! `u128` (8-d dyadic), and on the per-level path packed `u64` / `u128`
+//! keys, `[u32; D]` array keys (16-d dyadic, 192 key bits) and dense
 //! counts (the coarse levels of the gentle `high_dimensional()` schedule).
+//! The proptests stay small; the clustered cases below are large enough
+//! that the radix sort runs in several chunks and the counting pass is
+//! split across threads, with runs straddling the splits.
 
 use std::collections::BTreeMap;
 
@@ -215,4 +219,70 @@ fn engines_agree_on_degenerate_grids() {
 fn engines_agree_16d_gentle() {
     let a = sjpl_datagen::manifold::eigenfaces_like(1 << 16, 3);
     assert_self_matches(&a, BopsConfig::high_dimensional());
+}
+
+/// A clustered 2-d set of `n` points in which every eighth point repeats
+/// an earlier one, so runs at the finest level hold duplicates.
+fn clustered(n: usize, seed: u64) -> PointSet<2> {
+    let mut pts = sjpl_datagen::galaxy::cluster_process(n - n / 8, seed)
+        .points()
+        .to_vec();
+    pts.extend_from_within(..n / 8);
+    PointSet::new("clustered", pts)
+}
+
+/// A second clustered set that shares a quarter of its points with `a`,
+/// so cells — and exact keys — hold both sides.
+fn sharing(a: &PointSet<2>, seed: u64) -> PointSet<2> {
+    let mut pts = clustered(a.len() - a.len() / 4, seed).points().to_vec();
+    pts.extend_from_slice(&a.points()[..a.len() / 4]);
+    PointSet::new("sharing", pts)
+}
+
+/// 2¹⁷ clustered points per side, default 12 dyadic levels: the 25-bit
+/// cross keys and 24-bit self keys radix-sort in several chunks, and the
+/// counting pass splits inside long coarse-level runs.
+#[test]
+fn engines_agree_on_clustered_sets_at_scale() {
+    let a = clustered(1 << 17, 41);
+    let b = sharing(&a, 42);
+    assert_cross_matches(&a, &b, BopsConfig::default());
+    assert_self_matches(&a, BopsConfig::default());
+}
+
+/// Key widths on both sides of a type boundary: 2-d × 16 levels is 32
+/// bits for a self join (`u32`) and 33 with the cross join's side tag
+/// (`u64`); 4-d × 16 levels is 64 bits self (`u64`) and 65 cross (`u128`).
+#[test]
+fn engines_agree_across_key_type_boundaries() {
+    let cfg = BopsConfig::dyadic(16);
+    let a = clustered(1 << 15, 43);
+    let b = sharing(&a, 44);
+    let engine = |plot: Result<sjpl_core::BopsPlot, _>| plot.unwrap().engine_used();
+    assert_eq!(engine(bops_plot_self(&a, &cfg)), "sorted-morton-32");
+    assert_eq!(engine(bops_plot_cross(&a, &b, &cfg)), "sorted-morton-64");
+    assert_cross_matches(&a, &b, cfg);
+    assert_self_matches(&a, cfg);
+    let blobs = [
+        sjpl_datagen::gaussian::Blob {
+            mean: [0.2; 4],
+            sd: [0.01; 4],
+            weight: 3.0,
+        },
+        sjpl_datagen::gaussian::Blob {
+            mean: [0.7; 4],
+            sd: [0.05; 4],
+            weight: 1.0,
+        },
+    ];
+    let a4 = sjpl_datagen::gaussian::mixture::<4>(1 << 14, &blobs, 45);
+    let mut shared = sjpl_datagen::gaussian::mixture::<4>(1 << 14, &blobs, 46)
+        .points()
+        .to_vec();
+    shared.extend_from_slice(&a4.points()[..1 << 12]);
+    let b4 = PointSet::new("shared4", shared);
+    assert_eq!(engine(bops_plot_self(&a4, &cfg)), "sorted-morton-64");
+    assert_eq!(engine(bops_plot_cross(&a4, &b4, &cfg)), "sorted-morton-128");
+    assert_cross_matches(&a4, &b4, cfg);
+    assert_self_matches(&a4, cfg);
 }
