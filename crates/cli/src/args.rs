@@ -1,8 +1,13 @@
-//! Tiny hand-rolled argument parser — two positional CSV paths plus a
-//! handful of `--flag value` options. Small enough that a dependency would
-//! cost more than it saves.
+//! Tiny hand-rolled argument parser. Every flag is declared once, in
+//! [`FLAGS`]: its syntax, its help and default text, and the setter that
+//! validates its value into [`Options`]. Small enough that a dependency
+//! would cost more than it saves.
 
+use std::str::FromStr;
+
+use sjpl_core::check_radius;
 use sjpl_geom::Metric;
+use sjpl_index::JoinAlgorithm;
 
 /// Output format for the `--trace` observability snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -13,398 +18,419 @@ pub enum TraceFormat {
     Pretty,
 }
 
-/// Parsed common options.
-#[derive(Debug, Clone)]
+/// A parsed command line: the positional arguments, the flags given, and
+/// one typed field per [`FLAGS`] entry, named after the flag (`None` or
+/// empty when the flag was not given; its help says what that means).
+#[derive(Default)]
 pub struct Options {
     /// Positional arguments (dataset paths, counts, seeds…).
     pub positional: Vec<String>,
-    /// `--radius` / `-r`.
+    /// The long name of every flag given, in order.
+    pub given: Vec<&'static str>,
     pub radius: Option<f64>,
-    /// `--bins`.
     pub bins: Option<usize>,
-    /// `--levels`.
     pub levels: Option<u32>,
-    /// `--ratio` (BOPS grid-side shrink factor).
     pub ratio: Option<f64>,
-    /// `--metric` (`l1`, `l2`, `linf`, or a number for Lp).
     pub metric: Option<Metric>,
-    /// `--threads`.
     pub threads: Option<usize>,
-    /// `--method` (`pc` or `bops`).
-    pub method: Option<String>,
-    /// `--algo` (join algorithm name).
-    pub algo: Option<String>,
-    /// `-k` (neighbor count).
+    pub method: Option<&'static str>,
+    pub algo: Option<JoinAlgorithm>,
     pub k: Option<usize>,
-    /// `--trace[=json|pretty]` (enable the observability recorder).
     pub trace: Option<TraceFormat>,
-    /// `--obs-out <file>` (write the snapshot to a file; implies `--trace`).
     pub obs_out: Option<String>,
-    /// `--trace-out <file>` (write the timeline as a Chrome trace; implies
-    /// `--trace`).
     pub trace_out: Option<String>,
-    /// `--true-pc <count>` (known ground-truth pair count for accuracy
-    /// telemetry on `estimate` / `catalog-estimate`).
     pub true_pc: Option<f64>,
-    /// `--max-perf-regress <pct>` (regress gate; `10%` or `10` = +10%,
-    /// stored as a fraction).
     pub max_perf_regress: Option<f64>,
-    /// `--max-error-regress <x>` (regress gate; absolute rel-error growth).
     pub max_error_regress: Option<f64>,
-    /// `--port` (serve: bind port).
     pub port: Option<u16>,
-    /// `--catalog <cat.tsv>` (serve: law catalog to load).
     pub catalog: Option<String>,
-    /// `--drift-interval <secs>` (serve: time between drift checks).
     pub drift_interval: Option<f64>,
-    /// `--error-budget <x>` (serve: mean rel error that counts as drifted,
-    /// evaluated by the `drift-<law>` rules).
     pub error_budget: Option<f64>,
-    /// `--drift-sample <rate>` (serve: sampling rate of the ground-truth
-    /// oracle; the paper's §4.3 trick).
     pub drift_sample: Option<f64>,
-    /// `--slo <spec>` (serve: per-endpoint SLO, repeatable; e.g.
-    /// `/estimate=2ms@p99,err<0.1%`).
     pub slos: Vec<String>,
-    /// `--access-log <file>` (serve: JSONL access log path).
     pub access_log: Option<String>,
-    /// `--slow-ms <ms>` (serve: slow-request capture threshold).
     pub slow_ms: Option<f64>,
-    /// `--connections <n>` (loadtest: worker connections).
-    pub connections: Option<usize>,
-    /// `--rate <r>` (loadtest: open-loop target requests/second).
-    pub rate: Option<f64>,
-    /// `--duration <s>` (loadtest: run length in seconds).
-    pub duration: Option<f64>,
-    /// `--seed <n>` (loadtest: workload RNG seed).
-    pub seed: Option<u64>,
-    /// `--mix <spec>` (loadtest: weighted endpoint mix).
-    pub mix: Option<String>,
-    /// `--law <name>` (loadtest: law name for `/estimate` traffic).
-    pub law: Option<String>,
-    /// `--out <file>` (loadtest: report path).
-    pub out: Option<String>,
-    /// `--profile-hz <hz>` (serve: run the continuous sampling profiler).
     pub profile_hz: Option<f64>,
-    /// `--profile-out <file>` (loadtest: fetch a collapsed-stack profile
-    /// window from the daemon during the run and write it here).
-    pub profile_out: Option<String>,
-    /// `--max-inflight <n>` (serve: admission-control capacity; 0 = same
-    /// as `--threads`).
     pub max_inflight: Option<usize>,
-    /// `--deadline-ms <ms>` (serve: default per-request deadline budget).
     pub deadline_ms: Option<u64>,
-    /// `--fault <plan>` (serve: seeded fault-injection plan, e.g.
-    /// `estimate:latency=50ms@0.1,accept:reset@0.02`).
     pub fault: Option<String>,
-    /// `--fault-seed <n>` (serve: fault-plan RNG seed).
     pub fault_seed: Option<u64>,
-    /// `--chaos` (loadtest: interleave hostile-client behavior).
-    pub chaos: bool,
-    /// `--retries <n>` (loadtest: retry budget per logical request).
-    pub retries: Option<u32>,
-    /// `--metrics-interval <secs>` (serve: time between telemetry
-    /// self-scrapes into the in-process TSDB).
     pub metrics_interval: Option<f64>,
-    /// `--alert <rule>` (serve: declarative alert rule, repeatable; e.g.
-    /// `hot: rate(serve.requests[30s]) > 100 for 30s`).
     pub alerts: Vec<String>,
-    /// `--alerts-out <file>` (loadtest: fetch `/alerts` when the run ends
-    /// and write the JSON here).
+    pub connections: Option<usize>,
+    pub rate: Option<f64>,
+    pub duration: Option<f64>,
+    pub seed: Option<u64>,
+    pub mix: Option<String>,
+    pub law: Option<String>,
+    pub out: Option<String>,
+    pub profile_out: Option<String>,
+    pub retries: Option<u32>,
+    pub chaos: bool,
     pub alerts_out: Option<String>,
-    /// `--refresh <secs>` (dash: seconds between frames).
     pub refresh: Option<f64>,
-    /// `--frames <n>` (dash: render this many frames then exit; omit to
-    /// run until interrupted).
     pub frames: Option<u64>,
 }
 
-/// Parses `argv` into [`Options`].
+/// One flag: the single declaration of its syntax, help, default and
+/// validation. The parser reads the flag's names and arity from the same
+/// `syntax` string `sjpl help` prints, so the two cannot disagree.
+pub struct Flag {
+    /// Names, then the value: `-r, --radius <r>` takes the next argument,
+    /// `--chaos` none, `--trace[=json|pretty]` an optional inline one.
+    pub syntax: &'static str,
+    /// What the flag does, ending in its `[default …]` when it has one.
+    pub help: &'static str,
+    /// Parses and validates the value (empty for a switch) into its field.
+    set: fn(&mut Options, &str) -> Result<(), String>,
+}
+
+impl Flag {
+    /// Every name the flag answers to (`-r` and `--radius`).
+    fn names(&self) -> impl Iterator<Item = &'static str> {
+        self.syntax
+            .split(' ')
+            .take_while(|t| t.starts_with('-'))
+            .map(|t| t.trim_end_matches(',').split('[').next().unwrap_or(t))
+    }
+
+    /// The long name: what commands list and errors report.
+    pub fn name(&self) -> &'static str {
+        self.names().last().unwrap_or(self.syntax)
+    }
+
+    /// Whether the flag's value is the next argument.
+    pub fn takes_value(&self) -> bool {
+        self.syntax.contains(" <")
+    }
+}
+
+/// Every flag `sjpl` knows, in `sjpl help` order.
+pub const FLAGS: &[Flag] = &[
+    Flag {
+        syntax: "-r, --radius <r>",
+        help: "query radius, finite and >= 0",
+        set: |o, v| put(&mut o.radius, num(v, "radius").and_then(check_radius)),
+    },
+    Flag {
+        syntax: "--bins <n>",
+        help: "PC-plot radii count [default 40]",
+        set: |o, v| put(&mut o.bins, num(v, "bins")),
+    },
+    Flag {
+        syntax: "--levels <n>",
+        help: "BOPS grid levels [default 12; 16 if dim > 6]",
+        set: |o, v| put(&mut o.levels, num(v, "levels")),
+    },
+    Flag {
+        syntax: "--ratio <x>",
+        help: "BOPS grid-side shrink factor, in (0, 1) [default 0.5; 0.8 if dim > 6]",
+        set: |o, v| put(&mut o.ratio, num(v, "ratio")),
+    },
+    Flag {
+        syntax: "--metric <m>",
+        help: "distance metric: l1 | l2 | linf | <p> for Lp [default linf]",
+        set: |o, v| put(&mut o.metric, parse_metric(v)),
+    },
+    Flag {
+        syntax: "--threads <n>",
+        help: "worker threads, 0 = one per CPU [default 0]; serve needs >= 1 [default 4]",
+        set: |o, v| put(&mut o.threads, num(v, "threads")),
+    },
+    Flag {
+        syntax: "--method <m>",
+        help: "law method: pc (exact PC plot) | bops [default bops]",
+        set: |o, v| put(&mut o.method, method(v)),
+    },
+    Flag {
+        syntax: "--algo <a>",
+        help: "join algorithm: nested-loop | kd-tree | plane-sweep | par-sweep [default par-sweep]",
+        set: |o, v| put(&mut o.algo, join_algorithm(v)),
+    },
+    Flag {
+        syntax: "-k <n>",
+        help: "neighbor count, >= 1 [default 1]",
+        set: |o, v| put(&mut o.k, at_least_one(v, "k")),
+    },
+    Flag {
+        syntax: "--trace[=json|pretty]",
+        help: "record spans, counters and gauges; print the snapshot to stderr, not stdout",
+        set: |o, v| put(&mut o.trace, trace_format(v)),
+    },
+    Flag {
+        syntax: "--obs-out <file>",
+        help: "write the snapshot to <file> (implies --trace; json unless --trace=pretty)",
+        set: |o, v| put(&mut o.obs_out, Ok(v.to_owned())),
+    },
+    Flag {
+        syntax: "--trace-out <file>",
+        help: "write the span timeline to <file> as a Chrome trace (implies --trace)",
+        set: |o, v| put(&mut o.trace_out, Ok(v.to_owned())),
+    },
+    Flag {
+        syntax: "--true-pc <count>",
+        help: "known ground-truth pair count, finite and >= 0, for accuracy telemetry",
+        set: |o, v| put(&mut o.true_pc, non_negative(v, "true-pc")),
+    },
+    Flag {
+        syntax: "--max-perf-regress <pct>",
+        help: "allowed mean-time growth and throughput drop [default 10%]",
+        set: |o, v| put(&mut o.max_perf_regress, crate::regress::parse_percent(v)),
+    },
+    Flag {
+        syntax: "--max-error-regress <x>",
+        help: "allowed absolute growth of error rates and rel errors [default 0.05]",
+        set: |o, v| put(&mut o.max_error_regress, num(v, "error threshold")),
+    },
+    Flag {
+        syntax: "--port <p>",
+        help: "127.0.0.1 port to bind, or to target without a host:port [default 9090]",
+        set: |o, v| put(&mut o.port, num(v, "port")),
+    },
+    Flag {
+        syntax: "--catalog <file>",
+        help: "law catalog to serve (build one with catalog-add)",
+        set: |o, v| put(&mut o.catalog, Ok(v.to_owned())),
+    },
+    Flag {
+        syntax: "--drift-interval <s>",
+        help: "seconds between drift checks [default 30]",
+        set: |o, v| put(&mut o.drift_interval, positive(v, "drift interval")),
+    },
+    Flag {
+        syntax: "--error-budget <x>",
+        help: "mean rel error at which the drift-<law> rule calls a law drifted [default 0.5]",
+        set: |o, v| put(&mut o.error_budget, non_negative(v, "error budget")),
+    },
+    Flag {
+        syntax: "--drift-sample <r>",
+        help: "sampling rate of the drift ground-truth oracle, in (0, 1] [default 0.2]",
+        set: |o, v| {
+            put(
+                &mut o.drift_sample,
+                checked(v, "drift sample rate", "in (0, 1]", |x| x > 0.0 && x <= 1.0),
+            )
+        },
+    },
+    Flag {
+        syntax: "--slo <spec>",
+        help: "per-endpoint SLO, repeatable, e.g. /estimate=2ms@p99,err<0.1%",
+        set: |o, v| push(&mut o.slos, v),
+    },
+    Flag {
+        syntax: "--access-log <file>",
+        help: "append one JSON line per request (id, endpoint, status, duration, law)",
+        set: |o, v| put(&mut o.access_log, Ok(v.to_owned())),
+    },
+    Flag {
+        syntax: "--slow-ms <ms>",
+        help: "count requests this slow and pin them into the /timeline ring [default 100]",
+        set: |o, v| put(&mut o.slow_ms, non_negative(v, "slow-ms")),
+    },
+    Flag {
+        syntax: "--profile-hz <hz>",
+        help: "run the span-stack profiler at this rate (GET /debug/profile) [default off]",
+        set: |o, v| put(&mut o.profile_hz, positive(v, "profile-hz")),
+    },
+    Flag {
+        syntax: "--max-inflight <n>",
+        help: "admission capacity; excess requests are shed with 429 [default 0 = --threads]",
+        set: |o, v| put(&mut o.max_inflight, num(v, "max-inflight")),
+    },
+    Flag {
+        syntax: "--deadline-ms <ms>",
+        help: "per-request deadline (503 past it; X-Deadline-Ms overrides) [default off]",
+        set: |o, v| put(&mut o.deadline_ms, at_least_one(v, "deadline-ms")),
+    },
+    Flag {
+        syntax: "--fault <plan>",
+        help: "fault plan of <where>:<kind>[=v]@<p> rules, kind latency=<dur> | reset | torn | \
+               panic, e.g. estimate:latency=50ms@0.1,accept:reset@0.02",
+        set: |o, v| put(&mut o.fault, Ok(v.to_owned())),
+    },
+    Flag {
+        syntax: "--fault-seed <n>",
+        help: "RNG seed for the fault plan [default 42]",
+        set: |o, v| put(&mut o.fault_seed, num(v, "fault-seed")),
+    },
+    Flag {
+        syntax: "--metrics-interval <s>",
+        help: "seconds between self-scrapes into the TSDB behind /query and alerts [default 5]",
+        set: |o, v| put(&mut o.metrics_interval, positive(v, "metrics interval")),
+    },
+    Flag {
+        syntax: "--alert <rule>",
+        help: "alert rule, repeatable, e.g. 'hot: rate(serve.requests[30s]) > 100 for 30s'",
+        set: |o, v| push(&mut o.alerts, v),
+    },
+    Flag {
+        syntax: "--connections <n>",
+        help: "concurrent keep-alive connections, at most the server's --threads [default 2]",
+        set: |o, v| put(&mut o.connections, at_least_one(v, "connections")),
+    },
+    Flag {
+        syntax: "--rate <r>",
+        help: "open-loop target req/s [default: closed loop]",
+        set: |o, v| put(&mut o.rate, positive(v, "rate")),
+    },
+    Flag {
+        syntax: "--duration <s>",
+        help: "run length in seconds [default 10]",
+        set: |o, v| put(&mut o.duration, positive(v, "duration")),
+    },
+    Flag {
+        syntax: "--seed <n>",
+        help: "workload RNG seed [default 42]",
+        set: |o, v| put(&mut o.seed, num(v, "seed")),
+    },
+    Flag {
+        syntax: "--mix <spec>",
+        help: "weighted endpoint mix [default estimate=8,healthz=1,metrics=1]",
+        set: |o, v| put(&mut o.mix, Ok(v.to_owned())),
+    },
+    Flag {
+        syntax: "--law <name>",
+        help: "law name for /estimate traffic [default uniform]",
+        set: |o, v| put(&mut o.law, Ok(v.to_owned())),
+    },
+    Flag {
+        syntax: "--out <file>",
+        help: "report path [default BENCH_serve.json]",
+        set: |o, v| put(&mut o.out, Ok(v.to_owned())),
+    },
+    Flag {
+        syntax: "--profile-out <file>",
+        help: "write the target's /debug/profile collapsed stacks from mid-run to <file>",
+        set: |o, v| put(&mut o.profile_out, Ok(v.to_owned())),
+    },
+    Flag {
+        syntax: "--retries <n>",
+        help: "retries per request on transport errors, 429 and 503 [default 0]",
+        set: |o, v| put(&mut o.retries, num(v, "retries")),
+    },
+    Flag {
+        syntax: "--chaos",
+        help: "add hostile clients: slow-loris headers, truncated bodies, aborts, garbage",
+        set: |o, _| {
+            o.chaos = true;
+            Ok(())
+        },
+    },
+    Flag {
+        syntax: "--alerts-out <file>",
+        help: "write GET /alerts to <file> when the run ends",
+        set: |o, v| put(&mut o.alerts_out, Ok(v.to_owned())),
+    },
+    Flag {
+        syntax: "--refresh <s>",
+        help: "seconds between frames [default 1]",
+        set: |o, v| put(&mut o.refresh, positive(v, "refresh")),
+    },
+    Flag {
+        syntax: "--frames <n>",
+        help: "render n frames then exit [default: until ^C]",
+        set: |o, v| put(&mut o.frames, at_least_one(v, "frames")),
+    },
+];
+
+/// Parses `argv` into [`Options`] through the [`FLAGS`] setters. An
+/// argument that starts with `-` and names no flag is an error.
 pub fn parse(argv: &[String]) -> Result<Options, String> {
-    let mut o = Options {
-        positional: Vec::new(),
-        radius: None,
-        bins: None,
-        levels: None,
-        ratio: None,
-        metric: None,
-        threads: None,
-        method: None,
-        algo: None,
-        k: None,
-        trace: None,
-        obs_out: None,
-        trace_out: None,
-        true_pc: None,
-        max_perf_regress: None,
-        max_error_regress: None,
-        port: None,
-        catalog: None,
-        drift_interval: None,
-        error_budget: None,
-        drift_sample: None,
-        slos: Vec::new(),
-        access_log: None,
-        slow_ms: None,
-        connections: None,
-        rate: None,
-        duration: None,
-        seed: None,
-        mix: None,
-        law: None,
-        out: None,
-        profile_hz: None,
-        profile_out: None,
-        max_inflight: None,
-        deadline_ms: None,
-        fault: None,
-        fault_seed: None,
-        chaos: false,
-        retries: None,
-        metrics_interval: None,
-        alerts: Vec::new(),
-        alerts_out: None,
-        refresh: None,
-        frames: None,
-    };
-    let mut i = 0;
-    while i < argv.len() {
-        let arg = &argv[i];
-        let mut take_value = |name: &str| -> Result<String, String> {
-            i += 1;
-            argv.get(i)
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
+    let mut o = Options::default();
+    let mut args = argv.iter();
+    while let Some(arg) = args.next() {
+        let (name, inline) = arg
+            .split_once('=')
+            .map_or((arg.as_str(), None), |(n, v)| (n, Some(v)));
+        let Some(flag) = FLAGS.iter().find(|f| {
+            f.names().any(|n| n == name) && (inline.is_none() || f.syntax.contains("[="))
+        }) else {
+            if arg.starts_with('-') {
+                return Err(format!("unknown flag {arg:?}"));
+            }
+            o.positional.push(arg.clone());
+            continue;
         };
-        match arg.as_str() {
-            "--radius" | "-r" => {
-                let v = take_value("--radius")?;
-                o.radius = Some(v.parse().map_err(|_| format!("bad radius {v:?}"))?);
-            }
-            "--bins" => {
-                let v = take_value("--bins")?;
-                o.bins = Some(v.parse().map_err(|_| format!("bad bins {v:?}"))?);
-            }
-            "--levels" => {
-                let v = take_value("--levels")?;
-                o.levels = Some(v.parse().map_err(|_| format!("bad levels {v:?}"))?);
-            }
-            "--ratio" => {
-                let v = take_value("--ratio")?;
-                o.ratio = Some(v.parse().map_err(|_| format!("bad ratio {v:?}"))?);
-            }
-            "--threads" => {
-                let v = take_value("--threads")?;
-                o.threads = Some(v.parse().map_err(|_| format!("bad threads {v:?}"))?);
-            }
-            "--metric" => {
-                let v = take_value("--metric")?;
-                o.metric = Some(parse_metric(&v)?);
-            }
-            "--method" => {
-                o.method = Some(take_value("--method")?);
-            }
-            "--algo" => {
-                o.algo = Some(take_value("--algo")?);
-            }
-            "-k" => {
-                let v = take_value("-k")?;
-                o.k = Some(v.parse().map_err(|_| format!("bad k {v:?}"))?);
-            }
-            "--trace" | "--trace=pretty" => {
-                o.trace = Some(TraceFormat::Pretty);
-            }
-            "--trace=json" => {
-                o.trace = Some(TraceFormat::Json);
-            }
-            flag if flag.starts_with("--trace=") => {
-                return Err(format!(
-                    "unknown trace format {:?} (use json or pretty)",
-                    &flag["--trace=".len()..]
-                ));
-            }
-            "--obs-out" => {
-                o.obs_out = Some(take_value("--obs-out")?);
-            }
-            "--trace-out" => {
-                o.trace_out = Some(take_value("--trace-out")?);
-            }
-            "--true-pc" => {
-                let v = take_value("--true-pc")?;
-                o.true_pc = Some(v.parse().map_err(|_| format!("bad true-pc {v:?}"))?);
-            }
-            "--max-perf-regress" => {
-                let v = take_value("--max-perf-regress")?;
-                o.max_perf_regress = Some(crate::regress::parse_percent(&v)?);
-            }
-            "--max-error-regress" => {
-                let v = take_value("--max-error-regress")?;
-                o.max_error_regress = Some(
-                    v.parse()
-                        .map_err(|_| format!("bad error threshold {v:?}"))?,
-                );
-            }
-            "--port" => {
-                let v = take_value("--port")?;
-                o.port = Some(v.parse().map_err(|_| format!("bad port {v:?}"))?);
-            }
-            "--catalog" => {
-                o.catalog = Some(take_value("--catalog")?);
-            }
-            "--drift-interval" => {
-                let v = take_value("--drift-interval")?;
-                let secs: f64 = v.parse().map_err(|_| format!("bad drift interval {v:?}"))?;
-                if !(secs > 0.0 && secs.is_finite()) {
-                    return Err(format!("drift interval {v:?} must be finite and > 0"));
-                }
-                o.drift_interval = Some(secs);
-            }
-            "--error-budget" => {
-                let v = take_value("--error-budget")?;
-                let budget: f64 = v.parse().map_err(|_| format!("bad error budget {v:?}"))?;
-                if !(budget >= 0.0 && budget.is_finite()) {
-                    return Err(format!("error budget {v:?} must be finite and >= 0"));
-                }
-                o.error_budget = Some(budget);
-            }
-            "--drift-sample" => {
-                let v = take_value("--drift-sample")?;
-                let rate: f64 = v
-                    .parse()
-                    .map_err(|_| format!("bad drift sample rate {v:?}"))?;
-                if !(rate > 0.0 && rate <= 1.0) {
-                    return Err(format!("drift sample rate {v:?} must be in (0, 1]"));
-                }
-                o.drift_sample = Some(rate);
-            }
-            "--slo" => {
-                o.slos.push(take_value("--slo")?);
-            }
-            "--access-log" => {
-                o.access_log = Some(take_value("--access-log")?);
-            }
-            "--slow-ms" => {
-                let v = take_value("--slow-ms")?;
-                let ms: f64 = v.parse().map_err(|_| format!("bad slow-ms {v:?}"))?;
-                if !(ms >= 0.0 && ms.is_finite()) {
-                    return Err(format!("slow-ms {v:?} must be finite and >= 0"));
-                }
-                o.slow_ms = Some(ms);
-            }
-            "--connections" => {
-                let v = take_value("--connections")?;
-                let n: usize = v.parse().map_err(|_| format!("bad connections {v:?}"))?;
-                if n == 0 {
-                    return Err("connections must be >= 1".to_owned());
-                }
-                o.connections = Some(n);
-            }
-            "--rate" => {
-                let v = take_value("--rate")?;
-                let r: f64 = v.parse().map_err(|_| format!("bad rate {v:?}"))?;
-                if !(r > 0.0 && r.is_finite()) {
-                    return Err(format!("rate {v:?} must be finite and > 0"));
-                }
-                o.rate = Some(r);
-            }
-            "--duration" => {
-                let v = take_value("--duration")?;
-                let secs: f64 = v.parse().map_err(|_| format!("bad duration {v:?}"))?;
-                if !(secs > 0.0 && secs.is_finite()) {
-                    return Err(format!("duration {v:?} must be finite and > 0"));
-                }
-                o.duration = Some(secs);
-            }
-            "--seed" => {
-                let v = take_value("--seed")?;
-                o.seed = Some(v.parse().map_err(|_| format!("bad seed {v:?}"))?);
-            }
-            "--mix" => {
-                o.mix = Some(take_value("--mix")?);
-            }
-            "--law" => {
-                o.law = Some(take_value("--law")?);
-            }
-            "--out" => {
-                o.out = Some(take_value("--out")?);
-            }
-            "--profile-hz" => {
-                let v = take_value("--profile-hz")?;
-                let hz: f64 = v.parse().map_err(|_| format!("bad profile-hz {v:?}"))?;
-                if !(hz > 0.0 && hz.is_finite()) {
-                    return Err(format!("profile-hz {v:?} must be finite and > 0"));
-                }
-                o.profile_hz = Some(hz);
-            }
-            "--profile-out" => {
-                o.profile_out = Some(take_value("--profile-out")?);
-            }
-            "--max-inflight" => {
-                let v = take_value("--max-inflight")?;
-                o.max_inflight = Some(v.parse().map_err(|_| format!("bad max-inflight {v:?}"))?);
-            }
-            "--deadline-ms" => {
-                let v = take_value("--deadline-ms")?;
-                let ms: u64 = v.parse().map_err(|_| format!("bad deadline-ms {v:?}"))?;
-                if ms == 0 {
-                    return Err("deadline-ms must be >= 1".to_owned());
-                }
-                o.deadline_ms = Some(ms);
-            }
-            "--fault" => {
-                o.fault = Some(take_value("--fault")?);
-            }
-            "--fault-seed" => {
-                let v = take_value("--fault-seed")?;
-                o.fault_seed = Some(v.parse().map_err(|_| format!("bad fault-seed {v:?}"))?);
-            }
-            "--chaos" => {
-                o.chaos = true;
-            }
-            "--retries" => {
-                let v = take_value("--retries")?;
-                o.retries = Some(v.parse().map_err(|_| format!("bad retries {v:?}"))?);
-            }
-            "--metrics-interval" => {
-                let v = take_value("--metrics-interval")?;
-                let secs: f64 = v
-                    .parse()
-                    .map_err(|_| format!("bad metrics interval {v:?}"))?;
-                if !(secs > 0.0 && secs.is_finite()) {
-                    return Err(format!("metrics interval {v:?} must be finite and > 0"));
-                }
-                o.metrics_interval = Some(secs);
-            }
-            "--alert" => {
-                o.alerts.push(take_value("--alert")?);
-            }
-            "--alerts-out" => {
-                o.alerts_out = Some(take_value("--alerts-out")?);
-            }
-            "--refresh" => {
-                let v = take_value("--refresh")?;
-                let secs: f64 = v.parse().map_err(|_| format!("bad refresh {v:?}"))?;
-                if !(secs > 0.0 && secs.is_finite()) {
-                    return Err(format!("refresh {v:?} must be finite and > 0"));
-                }
-                o.refresh = Some(secs);
-            }
-            "--frames" => {
-                let v = take_value("--frames")?;
-                let n: u64 = v.parse().map_err(|_| format!("bad frames {v:?}"))?;
-                if n == 0 {
-                    return Err("frames must be >= 1".to_owned());
-                }
-                o.frames = Some(n);
-            }
-            flag if flag.starts_with('-') => {
-                return Err(format!("unknown flag {flag:?}"));
-            }
-            _ => o.positional.push(arg.clone()),
-        }
-        i += 1;
+        let value = match inline {
+            Some(v) => v,
+            None if flag.takes_value() => args
+                .next()
+                .ok_or_else(|| format!("missing value for {}", flag.name()))?,
+            None => "",
+        };
+        (flag.set)(&mut o, value)?;
+        o.given.push(flag.name());
     }
     Ok(o)
+}
+
+fn put<T>(field: &mut Option<T>, value: Result<T, String>) -> Result<(), String> {
+    *field = Some(value?);
+    Ok(())
+}
+
+fn push(field: &mut Vec<String>, v: &str) -> Result<(), String> {
+    field.push(v.to_owned());
+    Ok(())
+}
+
+fn num<T: FromStr>(v: &str, what: &str) -> Result<T, String> {
+    v.parse().map_err(|_| format!("bad {what} {v:?}"))
+}
+
+/// A number `> 0`, finite.
+fn positive(v: &str, what: &str) -> Result<f64, String> {
+    checked(v, what, "> 0", |x| x > 0.0)
+}
+
+/// A number `>= 0`, finite.
+fn non_negative(v: &str, what: &str) -> Result<f64, String> {
+    checked(v, what, ">= 0", |x| x >= 0.0)
+}
+
+/// A finite number that passes `ok`; `rule` says what `ok` checks.
+fn checked(v: &str, what: &str, rule: &str, ok: fn(f64) -> bool) -> Result<f64, String> {
+    let x: f64 = num(v, what)?;
+    if x.is_finite() && ok(x) {
+        Ok(x)
+    } else {
+        Err(format!("{what} {v:?} must be finite and {rule}"))
+    }
+}
+
+/// A count `>= 1`.
+fn at_least_one<T: FromStr + PartialOrd + From<u8>>(v: &str, what: &str) -> Result<T, String> {
+    let n: T = num(v, what)?;
+    if n >= T::from(1) {
+        Ok(n)
+    } else {
+        Err(format!("{what} must be >= 1"))
+    }
+}
+
+fn method(v: &str) -> Result<&'static str, String> {
+    ["pc", "bops"]
+        .into_iter()
+        .find(|m| *m == v)
+        .ok_or_else(|| format!("unknown method {v:?} (pc or bops)"))
+}
+
+fn join_algorithm(v: &str) -> Result<JoinAlgorithm, String> {
+    JoinAlgorithm::ALL
+        .into_iter()
+        .find(|a| a.name() == v)
+        .ok_or_else(|| {
+            let names: Vec<&str> = JoinAlgorithm::ALL.iter().map(|a| a.name()).collect();
+            format!("unknown algorithm {v:?} (one of {})", names.join(", "))
+        })
+}
+
+fn trace_format(v: &str) -> Result<TraceFormat, String> {
+    match v {
+        "" | "pretty" => Ok(TraceFormat::Pretty),
+        "json" => Ok(TraceFormat::Json),
+        _ => Err(format!("unknown trace format {v:?} (use json or pretty)")),
+    }
 }
 
 /// Parses a metric name: `l1`, `l2`, `linf`, or a positive number `p`.
@@ -676,5 +702,15 @@ mod tests {
     fn bad_numbers_are_errors() {
         assert!(parse(&sv(&["-r", "abc"])).is_err());
         assert!(parse(&sv(&["--bins", "-3"])).is_err());
+        for bad in [
+            &["-r", "nan"][..],
+            &["-r", "-1"],
+            &["--radius", "inf"],
+            &["--true-pc", "-1"],
+            &["--true-pc", "nan"],
+            &["-k", "0"],
+        ] {
+            assert!(parse(&sv(bad)).is_err(), "{bad:?}");
+        }
     }
 }

@@ -1,4 +1,4 @@
-//! Subcommand implementations.
+//! The [`COMMANDS`] table and the subcommand implementations it names.
 
 use std::fs::File;
 use std::io::{BufRead, BufReader};
@@ -12,210 +12,216 @@ use sjpl_index::{
     pair_count, par_sweep_join_count, par_sweep_self_join_count, self_pair_count, JoinAlgorithm,
 };
 
-use crate::args::{parse, Options, TraceFormat};
+use crate::args::{parse, Options, TraceFormat, FLAGS};
 use crate::error::CliError;
 
-const USAGE: &str = "\
-usage: sjpl <command> [args]
+/// One command: the single declaration of its usage, help, flags and
+/// handler. Parsing, dispatch and `sjpl help` all read it.
+struct Command {
+    /// The name, then its arguments.
+    usage: &'static str,
+    /// One line for `sjpl help`.
+    help: &'static str,
+    /// The long names of the flags the command reads, space-separated; it
+    /// accepts [`TRACE_FLAGS`] too, and rejects every other flag.
+    flags: &'static str,
+    run: fn(&Options) -> Result<(), CliError>,
+}
 
-commands:
-  generate <kind> <n> <seed> <out.csv>   synthesize a dataset
-      kinds: uniform | sierpinski | cantor | streets | rails | water |
-             political | galaxy-dev | galaxy-exp | eigenfaces
-  pc-plot  <a.csv> [b.csv]               exact (quadratic) PC plot + fitted law
-  bops     <a.csv> [b.csv]               linear-time BOPS plot + fitted law
-  estimate <a.csv> [b.csv] -r <radius>   O(1) selectivity estimate
-  join     <a.csv> [b.csv] -r <radius>   exact distance-join count
-  dim      <a.csv>                       correlation fractal dimension
-  info     <a.csv>                       dataset summary + quick law fit
-  sample   <in.csv> <rate> <seed> <out.csv>   fixed-rate sample of a dataset
-  knn      <a.csv> <x,y,...> -k <k>      k nearest neighbors of a query point
-  catalog-add <cat.tsv> <name> <a.csv> [b.csv]   fit a law, store it
-  catalog-estimate <cat.tsv> <name> -r <radius>  O(1) estimate from stored law
-  trace-export <snapshot.json> <trace.json>      convert a saved snapshot's
-                                                 timeline to Chrome Trace Format
-                                                 (open at https://ui.perfetto.dev)
-  regress <old.json> <new.json>                  diff two snapshot/bench reports;
-                                                 exit nonzero on perf, throughput,
-                                                 error-rate or accuracy regression
-                                                 beyond the thresholds
-  loadtest [host:port]                           drive a running serve daemon
-                                                 with a seeded keep-alive
-                                                 workload and write
-                                                 BENCH_serve.json (req/s,
-                                                 p50/p95/p99/p999 per endpoint,
-                                                 client-visible error rates)
-                                                 for the regress gate; --chaos
-                                                 adds hostile clients, --retries
-                                                 a Retry-After-aware retry policy
-  serve --catalog <cat.tsv> [data.csv…]          live estimation daemon: POST
-                                                 /estimate answers O(1) from the
-                                                 stored laws; GET /metrics
-                                                 (Prometheus), /snapshot,
-                                                 /timeline, /healthz, /readyz,
-                                                 /alerts, /query. Each data.csv
-                                                 whose file stem names a catalog
-                                                 law gets an online drift probe
-                                                 (sampled ground truth vs. the
-                                                 law). A telemetry thread
-                                                 self-scrapes the recorder into
-                                                 an in-process TSDB and
-                                                 evaluates alert rules on it
-  dash [host:port]                               live ANSI dashboard over a
-                                                 running serve daemon: per-
-                                                 endpoint req/s sparklines,
-                                                 p50/p99, error rates, drift
-                                                 status and alert states,
-                                                 polled from /query + /alerts
+impl Command {
+    fn name(&self) -> &'static str {
+        self.usage.split(' ').next().unwrap_or(self.usage)
+    }
 
-options:
-  -r, --radius <r>     query radius (estimate, join)
-  --bins <n>           PC-plot radii count (pc-plot; estimate and
-                       catalog-add with --method pc)  [default 40]
-  --levels <n>         BOPS grid levels               [default 12; 16 if dim > 6]
-  --ratio <x>          BOPS grid-side shrink factor   [default 0.5; 0.8 if dim > 6]
-  --metric <m>         l1 | l2 | linf | <p>; PC plots (pc-plot; estimate
-                       and catalog-add with --method pc), join, knn and
-                       serve drift probes             [default linf]
-  --threads <n>        worker threads for PC plots, BOPS and the par-sweep
-                       join; 0 means all CPUs            [default: all CPUs]
-  --method <m>         pc | bops (estimate, catalog-add, dim, info)
-                                                    [default bops]
-  --algo <a>           nested-loop | kd-tree | plane-sweep | par-sweep
-                                                    [default par-sweep]
-  -k <n>               neighbor count for knn         [default 1]
-  --trace[=json|pretty]  record spans/counters/gauges while the command runs
-                       and print the snapshot to stderr (stdout stays clean
-                       for the command's own output)
-  --obs-out <file>     write the snapshot to <file> instead (implies --trace;
-                       json unless --trace=pretty)
-  --trace-out <file>   write the run's span timeline to <file> in Chrome
-                       Trace Format (implies --trace; open in Perfetto)
-  --true-pc <count>    known ground-truth pair count, recorded in accuracy
-                       telemetry (estimate, catalog-estimate)
-  --max-perf-regress <pct>  regress: allowed mean-time growth [default 10%]
-  --max-error-regress <x>   regress: allowed absolute rel-error growth
-                            [default 0.05]
-  --port <p>           serve: bind port on 127.0.0.1 [default 9090]
-  --catalog <file>     serve: law catalog to serve (see catalog-add)
-  --drift-interval <s> serve: seconds between drift checks [default 30]
-  --error-budget <x>   serve: mean rel error that counts a law as drifted,
-                       evaluated by the drift-<law> rules [default 0.5]
-  --drift-sample <r>   serve: sampling rate of the drift ground-truth oracle
-                       [default 0.2]
-  --slo <spec>         serve: per-endpoint SLO, repeatable; latency clause
-                       <dur>@<pNN> and/or error clause err<rate>, e.g.
-                       /estimate=2ms@p99,err<0.1%  — windowed compliance,
-                       burn rate and breach counters appear on /metrics,
-                       refreshed every --metrics-interval
-  --access-log <file>  serve: append one JSON line per request (request id,
-                       endpoint, status, duration, law)
-  --slow-ms <ms>       serve: requests at least this slow are counted and
-                       pinned into the /timeline ring [default 100]
-  --profile-hz <hz>    serve: run the continuous span-stack profiler at this
-                       sampling rate; collapsed stacks via GET /debug/profile,
-                       flamegraph section in /snapshot [off by default]
-  --max-inflight <n>   serve: admission-control capacity; requests beyond it
-                       (plus a short queue) are shed with 429 + Retry-After.
-                       Debug endpoints shed first, health probes never
-                       [default 0 = same as --threads]
-  --deadline-ms <ms>   serve: default per-request deadline budget; requests
-                       exceeding it get 503 + Retry-After. Clients override
-                       per request with an X-Deadline-Ms header [off by default]
-  --fault <plan>       serve: deterministic fault injection, comma-separated
-                       <stage|endpoint>:<kind>[=value]@<probability> rules,
-                       e.g. estimate:latency=50ms@0.1,accept:reset@0.02
-                       (kinds: latency=<dur>, reset, torn, panic); every
-                       injection is counted on /metrics
-  --fault-seed <n>     serve: RNG seed for the fault plan [default 42]
-  --metrics-interval <s>  serve: seconds between telemetry self-scrapes into
-                       the in-process ring-buffer TSDB that answers GET
-                       /query and feeds the alert engine [default 5]
-  --alert <rule>       serve: declarative alert rule, repeatable;
-                       'name: expr op threshold [for <dur>]' where expr is
-                       the /query grammar, e.g.
-                       'hot: rate(serve.requests[30s]) > 100 for 30s'.
-                       Multi-window SLO burn-rate and drift rules are
-                       built in for every --slo and drift probe; states show
-                       on GET /alerts and as ALERTS{...} on /metrics
-  --connections <n>    loadtest: concurrent keep-alive connections; keep at
-                       or below the server's --threads [default 2]
-  --rate <r>           loadtest: open-loop target req/s (latency measured
-                       from the scheduled send time); omit for closed loop
-  --duration <s>       loadtest: run length in seconds [default 10]
-  --seed <n>           loadtest: workload RNG seed [default 42]
-  --mix <spec>         loadtest: weighted endpoint mix
-                       [default estimate=8,healthz=1,metrics=1]
-  --law <name>         loadtest: law name for /estimate traffic
-                       [default uniform]
-  --out <file>         loadtest: report path [default BENCH_serve.json]
-  --profile-out <file> loadtest: fetch /debug/profile from the target during
-                       the run and write the collapsed stacks here (feed to
-                       a flamegraph renderer)
-  --retries <n>        loadtest: retry budget per logical request — retries on
-                       transport failure, 429 and 503 with capped exponential
-                       backoff, deterministic jitter and Retry-After awareness
-                       [default 0]
-  --chaos              loadtest: interleave hostile-client acts on throwaway
-                       connections (slow-loris header drip, truncated bodies,
-                       mid-response aborts, garbage pipelining)
-  --alerts-out <file>  loadtest: fetch GET /alerts when the run ends and
-                       write the JSON here; the report's alerts_fired rollup
-                       is filled either way and `sjpl regress` prints fired
-                       alerts as notes
-  --refresh <s>        dash: seconds between frames [default 1]
-  --frames <n>         dash: render n frames then exit [default: until ^C]
+    fn accepts(&self, flag: &str) -> bool {
+        let flags = format!("{TRACE_FLAGS} {}", self.flags);
+        flags.split(' ').any(|f| f == flag)
+    }
+}
 
+/// The observability flags, which every command accepts.
+const TRACE_FLAGS: &str = "--trace --obs-out --trace-out";
+
+/// Calls `$f::<D>$args` with `D` the dimensionality `$dim` (1–16): the
+/// one place a runtime dimensionality picks a const-generic function.
+macro_rules! by_dim {
+    (@ $dim:expr, $f:ident $args:tt, $($d:literal)*) => {
+        match $dim {
+            $($d => $f::<$d> $args,)*
+            other => Err(format!("unsupported dimensionality {other} (1–16 supported)")),
+        }
+    };
+    ($dim:expr, $f:ident $args:tt) => {
+        by_dim!(@ $dim, $f $args, 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16)
+    };
+}
+
+/// Every command, in `sjpl help` order.
+const COMMANDS: &[Command] = &[
+    Command {
+        usage: "generate <kind> <n> <seed> <out.csv>",
+        help: "synthesize a dataset of kind uniform | sierpinski | cantor | streets | \
+               rails | water | political | galaxy-dev | galaxy-exp | eigenfaces (16-d)",
+        flags: "",
+        run: |o| Ok(cmd_generate(o)?),
+    },
+    Command {
+        usage: "pc-plot <a.csv> [b.csv]",
+        help: "exact (quadratic) PC plot + fitted law",
+        flags: "--metric --bins --threads",
+        run: |o| Ok(by_dim!(dataset_dim(&o.positional)?, cmd_pc_plot(o))?),
+    },
+    Command {
+        usage: "bops <a.csv> [b.csv]",
+        help: "linear-time BOPS plot + fitted law",
+        flags: "--levels --ratio --threads",
+        run: |o| Ok(by_dim!(dataset_dim(&o.positional)?, cmd_bops(o))?),
+    },
+    Command {
+        usage: "estimate <a.csv> [b.csv] -r <radius>",
+        help: "O(1) selectivity estimate",
+        flags: "--method --bins --metric --levels --ratio --threads --radius --true-pc",
+        run: |o| Ok(by_dim!(dataset_dim(&o.positional)?, cmd_estimate(o))?),
+    },
+    Command {
+        usage: "join <a.csv> [b.csv] -r <radius>",
+        help: "exact distance-join count",
+        flags: "--radius --algo --metric --threads",
+        run: |o| Ok(by_dim!(dataset_dim(&o.positional)?, cmd_join(o))?),
+    },
+    Command {
+        usage: "dim <a.csv>",
+        help: "correlation fractal dimension",
+        flags: "--method --bins --metric --levels --ratio --threads",
+        run: |o| Ok(by_dim!(dataset_dim(&o.positional)?, cmd_dim(o))?),
+    },
+    Command {
+        usage: "info <a.csv>",
+        help: "dataset summary + quick law fit",
+        flags: "--method --bins --metric --levels --ratio --threads",
+        run: |o| Ok(by_dim!(dataset_dim(&o.positional)?, cmd_info(o))?),
+    },
+    Command {
+        usage: "sample <in.csv> <rate> <seed> <out.csv>",
+        help: "fixed-rate sample of a dataset",
+        flags: "",
+        run: |o| Ok(by_dim!(dataset_dim(&o.positional)?, cmd_sample(o))?),
+    },
+    Command {
+        usage: "knn <a.csv> <x,y,...> -k <k>",
+        help: "k nearest neighbors of a query point",
+        flags: "-k --metric",
+        run: |o| Ok(by_dim!(dataset_dim(&o.positional)?, cmd_knn(o))?),
+    },
+    Command {
+        usage: "catalog-add <cat.tsv> <name> <a.csv> [b.csv]",
+        help: "fit a law, store it",
+        flags: "--method --bins --metric --levels --ratio --threads",
+        run: |o| Ok(cmd_catalog_add(o)?),
+    },
+    Command {
+        usage: "catalog-estimate <cat.tsv> <name> -r <radius>",
+        help: "O(1) estimate from a stored law",
+        flags: "--radius --true-pc",
+        run: |o| Ok(cmd_catalog_estimate(o)?),
+    },
+    Command {
+        usage: "trace-export <snapshot.json> <trace.json>",
+        help: "convert a saved snapshot's timeline to a Chrome trace (open in Perfetto)",
+        flags: "",
+        run: |o| Ok(cmd_trace_export(o)?),
+    },
+    Command {
+        usage: "regress <old.json> <new.json>",
+        help: "diff two snapshot/bench reports; exit 1 on a regression beyond the thresholds",
+        flags: "--max-perf-regress --max-error-regress",
+        run: cmd_regress,
+    },
+    Command {
+        usage: "loadtest [host:port]",
+        help: "drive a serve daemon with a seeded workload; write a report for regress",
+        flags: "--port --duration --connections --rate --seed --mix --law --out \
+                --profile-out --retries --chaos --alerts-out",
+        run: |o| Ok(cmd_loadtest(o)?),
+    },
+    Command {
+        usage: "serve --catalog <cat.tsv> [data.csv…]",
+        help: "HTTP estimation daemon; each data.csv named like a law gets a drift probe",
+        flags: "--catalog --port --threads --metric --drift-interval --error-budget \
+                --drift-sample --slo --access-log --slow-ms --profile-hz --max-inflight \
+                --deadline-ms --fault --fault-seed --metrics-interval --alert",
+        run: |o| Ok(cmd_serve(o)?),
+    },
+    Command {
+        usage: "dash [host:port]",
+        help: "live terminal dashboard over a running serve daemon",
+        flags: "--port --refresh --frames",
+        run: |o| Ok(cmd_dash(o)?),
+    },
+];
+
+const EXIT_CODES: &str = "
 exit codes:
   0  success
   1  failure (bad usage, I/O error, or a regress gate that found regressions)
   2  regress: a report file is unusable (malformed JSON, or no
      summary.series/results/spans perf section and no accuracy section)";
 
+/// The `sjpl help` text, generated from [`COMMANDS`] and [`FLAGS`].
+fn usage() -> String {
+    let mut s = String::from("usage: sjpl <command> [args] [flags]\n\ncommands:\n");
+    for c in COMMANDS {
+        s += &format!("  {}\n", c.usage);
+        wrap(&mut s, c.help);
+        if !c.flags.is_empty() {
+            wrap(&mut s, &format!("flags: {}", c.flags));
+        }
+    }
+    s += &format!("\nflags ({TRACE_FLAGS} work with every command):\n");
+    for f in FLAGS {
+        s += &format!("  {}\n", f.syntax);
+        wrap(&mut s, f.help);
+    }
+    s + EXIT_CODES
+}
+
+/// Appends `text` to `out`, indented by 6 and word-wrapped at 80 columns.
+fn wrap(out: &mut String, text: &str) {
+    let mut col = 0;
+    for word in text.split_whitespace() {
+        if col > 0 && col + 1 + word.len() > 80 {
+            out.push('\n');
+            col = 0;
+        }
+        let sep = if col == 0 { "      " } else { " " };
+        out.push_str(sep);
+        out.push_str(word);
+        col += sep.len() + word.len();
+    }
+    out.push('\n');
+}
+
 /// Entry point used by `main` (and by the tests). Most failures exit 1;
 /// commands that need a distinguishable failure (see `CliError`'s
 /// constants) return their own code.
 pub fn run(argv: &[String]) -> Result<(), CliError> {
-    let Some((cmd, rest)) = argv.split_first() else {
-        return Err(CliError::from(format!("no command given\n{USAGE}")));
+    let Some((name, rest)) = argv.split_first() else {
+        return Err(format!("no command given\n{}", usage()).into());
     };
-    let opts = parse(rest)?;
-    if opts.method.is_some() && matches!(cmd.as_str(), "bops" | "pc-plot" | "join") {
-        return Err(CliError::from(format!(
-            "{cmd} takes no --method (it picks the law method of estimate, \
-             catalog-add, dim and info)\n{USAGE}"
-        )));
+    if matches!(name.as_str(), "help" | "--help" | "-h") {
+        println!("{}", usage());
+        return Ok(());
     }
+    let Some(cmd) = COMMANDS.iter().find(|c| c.name() == name) else {
+        return Err(format!("unknown command {name:?}\n{}", usage()).into());
+    };
+    let opts = parse_for(cmd, rest)?;
     let tracing = opts.trace.is_some() || opts.obs_out.is_some() || opts.trace_out.is_some();
     if tracing {
         sjpl_obs::reset();
         sjpl_obs::set_enabled(true);
     }
-    let result: Result<(), CliError> = match cmd.as_str() {
-        "generate" => cmd_generate(&opts).map_err(CliError::from),
-        "pc-plot" => dispatch_dim(&opts, CmdKind::PcPlot).map_err(CliError::from),
-        "bops" => dispatch_dim(&opts, CmdKind::Bops).map_err(CliError::from),
-        "estimate" => dispatch_dim(&opts, CmdKind::Estimate).map_err(CliError::from),
-        "join" => dispatch_dim(&opts, CmdKind::Join).map_err(CliError::from),
-        "dim" => dispatch_dim(&opts, CmdKind::Dim).map_err(CliError::from),
-        "info" => dispatch_dim(&opts, CmdKind::Info).map_err(CliError::from),
-        "sample" => dispatch_dim(&opts, CmdKind::Sample).map_err(CliError::from),
-        "knn" => dispatch_dim(&opts, CmdKind::Knn).map_err(CliError::from),
-        "catalog-add" => cmd_catalog_add(&opts).map_err(CliError::from),
-        "catalog-estimate" => cmd_catalog_estimate(&opts).map_err(CliError::from),
-        "trace-export" => cmd_trace_export(&opts).map_err(CliError::from),
-        "regress" => cmd_regress(&opts),
-        "loadtest" => cmd_loadtest(&opts).map_err(CliError::from),
-        "serve" => cmd_serve(&opts).map_err(CliError::from),
-        "dash" => cmd_dash(&opts).map_err(CliError::from),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(CliError::from(format!(
-            "unknown command {other:?}\n{USAGE}"
-        ))),
-    };
+    let result = (cmd.run)(&opts);
     if tracing {
         sjpl_obs::set_enabled(false);
         let snap = sjpl_obs::snapshot().with_timeline();
@@ -225,6 +231,15 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
         emit_trace(&opts, &snap)?;
     }
     result
+}
+
+/// Parses `argv` for `cmd`: a flag the command does not read is an error.
+fn parse_for(cmd: &Command, argv: &[String]) -> Result<Options, String> {
+    let opts = parse(argv)?;
+    match opts.given.iter().find(|f| !cmd.accepts(f)) {
+        Some(flag) => Err(format!("{} takes no {flag}", cmd.name())),
+        None => Ok(opts),
+    }
 }
 
 /// Renders the snapshot per `--trace` / `--obs-out` / `--trace-out`: JSON
@@ -379,6 +394,12 @@ fn cmd_serve(o: &Options) -> Result<(), String> {
     use std::net::SocketAddr;
     use std::sync::{Arc, Mutex};
 
+    // Keep-alive connections pin a worker each, so serve has no "one per
+    // CPU" meaning for 0.
+    let threads = o.threads.unwrap_or(4);
+    if threads == 0 {
+        return Err("serve --threads must be >= 1 (one worker per connection)".to_owned());
+    }
     let cat_path = o
         .catalog
         .as_deref()
@@ -413,7 +434,7 @@ fn cmd_serve(o: &Options) -> Result<(), String> {
     let defaults_cfg = ServeConfig::default();
     let cfg = ServeConfig {
         addr: SocketAddr::from(([127, 0, 0, 1], o.port.unwrap_or(9090))),
-        threads: o.threads.unwrap_or(4),
+        threads,
         probes,
         drift,
         slos,
@@ -444,7 +465,7 @@ fn cmd_serve(o: &Options) -> Result<(), String> {
     let admission_banner = format!(
         "admission: max {} in flight (queue depth {}), shed with 429 + Retry-After",
         if cfg.max_inflight == 0 {
-            cfg.threads.max(1)
+            cfg.threads
         } else {
             cfg.max_inflight
         },
@@ -517,16 +538,7 @@ fn build_probe(
              file stem; add one with catalog-add)"
         ));
     };
-    let dim = detect_dim(path)?;
-    macro_rules! go {
-        ($($d:literal),*) => {
-            match dim {
-                $($d => probe_typed::<$d>(path, stem, &law, o),)*
-                other => Err(format!("unsupported dimensionality {other} (1–16 supported)")),
-            }
-        };
-    }
-    go!(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16)
+    by_dim!(detect_dim(path)?, probe_typed(path, stem, &law, o))
 }
 
 fn probe_typed<const D: usize>(
@@ -594,18 +606,12 @@ fn bops_config<const D: usize>(o: &Options) -> Result<BopsConfig, String> {
     Ok(cfg)
 }
 
-/// The `--method` name, `bops` by default.
-fn method_name(o: &Options) -> &str {
-    o.method.as_deref().unwrap_or("bops")
-}
-
 /// The law flags as the one [`EstimationMethod`] every law-fitting command
-/// uses; `--method` is `pc` or `bops`.
+/// uses; `--method` is `pc` or `bops` (the default).
 fn law_method<const D: usize>(o: &Options) -> Result<EstimationMethod, String> {
-    match method_name(o) {
-        "pc" => Ok(EstimationMethod::ExactPcPlot(pc_config(o))),
-        "bops" => bops_config::<D>(o).map(EstimationMethod::Bops),
-        m => Err(format!("unknown method {m:?} (pc or bops)")),
+    match o.method {
+        Some("pc") => Ok(EstimationMethod::ExactPcPlot(pc_config(o))),
+        _ => bops_config::<D>(o).map(EstimationMethod::Bops),
     }
 }
 
@@ -623,38 +629,27 @@ fn fit_law<const D: usize>(
     .map_err(|e| e.to_string())
 }
 
+/// `catalog-add <cat.tsv> <name> <a.csv> [b.csv]` — fits the law of the
+/// dataset(s) and stores it in the catalog under `name`.
 fn cmd_catalog_add(o: &Options) -> Result<(), String> {
-    // Positional: <cat.tsv> <name> <a.csv> [b.csv] — the dim dispatch keys
-    // off the *third* positional, so handle the reshuffle here and delegate.
-    if o.positional.len() < 3 {
-        return Err("catalog-add needs: <cat.tsv> <name> <a.csv> [b.csv]".to_owned());
+    match o.positional.as_slice() {
+        [_, _, data, ..] => by_dim!(detect_dim(data)?, catalog_add(o)),
+        _ => Err("catalog-add needs: <cat.tsv> <name> <a.csv> [b.csv]".to_owned()),
     }
-    let mut rearranged = o.clone();
-    rearranged.positional = o.positional[2..].to_vec();
-    let dim = detect_dim(&rearranged.positional[0])?;
-    macro_rules! go {
-        ($($d:literal),*) => {
-            match dim {
-                $($d => catalog_add_typed::<$d>(o, &rearranged),)*
-                other => Err(format!("unsupported dimensionality {other} (1–16 supported)")),
-            }
-        };
-    }
-    go!(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16)
 }
 
-fn catalog_add_typed<const D: usize>(orig: &Options, data_opts: &Options) -> Result<(), String> {
+/// The typed half of `catalog-add`, called once its arguments are checked.
+fn catalog_add<const D: usize>(o: &Options) -> Result<(), String> {
     use sjpl_core::LawCatalog;
-    let cat_path = &orig.positional[0];
-    let name = &orig.positional[1];
-    let (a, b) = load_sets::<D>(data_opts)?;
-    let law = *fit_law(&a, b.as_ref(), law_method::<D>(orig)?)?.law();
+    let (cat_path, name) = (&o.positional[0], &o.positional[1]);
+    let (a, b) = load_sets::<D>(&o.positional[2..])?;
+    let law = *fit_law(&a, b.as_ref(), law_method::<D>(o)?)?.law();
     let mut cat = if std::path::Path::new(cat_path).exists() {
         LawCatalog::load(cat_path).map_err(|e| e.to_string())?
     } else {
         LawCatalog::new()
     };
-    cat.insert(name.clone(), law);
+    cat.insert(name.to_owned(), law);
     cat.save(cat_path).map_err(|e| e.to_string())?;
     println!(
         "stored law {name:?} (alpha {:.4}, K {:.4e}) in {cat_path} ({} laws total)",
@@ -666,7 +661,7 @@ fn catalog_add_typed<const D: usize>(orig: &Options, data_opts: &Options) -> Res
 }
 
 fn cmd_catalog_estimate(o: &Options) -> Result<(), String> {
-    use sjpl_core::{LawCatalog, SelectivityEstimator};
+    use sjpl_core::LawCatalog;
     let [cat_path, name] = o.positional.as_slice() else {
         return Err("catalog-estimate needs: <cat.tsv> <name> -r <radius>".to_owned());
     };
@@ -721,36 +716,6 @@ fn write_out<const D: usize>(path: &str, set: &PointSet<D>) -> Result<(), String
     Ok(())
 }
 
-enum CmdKind {
-    PcPlot,
-    Bops,
-    Estimate,
-    Join,
-    Dim,
-    Info,
-    Sample,
-    Knn,
-}
-
-/// Detects the dimensionality of the first CSV and dispatches to the
-/// const-generic implementation.
-fn dispatch_dim(o: &Options, kind: CmdKind) -> Result<(), String> {
-    let first = o
-        .positional
-        .first()
-        .ok_or_else(|| "need at least one dataset path".to_owned())?;
-    let dim = detect_dim(first)?;
-    macro_rules! go {
-        ($($d:literal),*) => {
-            match dim {
-                $($d => run_typed::<$d>(o, kind),)*
-                other => Err(format!("unsupported dimensionality {other} (1–16 supported)")),
-            }
-        };
-    }
-    go!(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16)
-}
-
 /// Reads the first data row of a CSV and counts its fields.
 fn detect_dim(path: &str) -> Result<usize, String> {
     let file = File::open(path).map_err(|e| format!("{path}: {e}"))?;
@@ -769,10 +734,17 @@ fn detect_dim(path: &str) -> Result<usize, String> {
     Err(format!("{path}: no data rows found"))
 }
 
-fn load_sets<const D: usize>(o: &Options) -> Result<(PointSet<D>, Option<PointSet<D>>), String> {
-    let a: PointSet<D> =
-        read_csv(&o.positional[0]).map_err(|e| format!("{}: {e}", o.positional[0]))?;
-    let b = match o.positional.get(1) {
+/// The dimensionality of a command's first dataset.
+fn dataset_dim(positional: &[String]) -> Result<usize, String> {
+    detect_dim(positional.first().ok_or("need at least one dataset path")?)
+}
+
+/// Reads `a.csv` and, for a cross join, `b.csv`.
+fn load_sets<const D: usize>(
+    paths: &[String],
+) -> Result<(PointSet<D>, Option<PointSet<D>>), String> {
+    let a: PointSet<D> = read_csv(&paths[0]).map_err(|e| format!("{}: {e}", paths[0]))?;
+    let b = match paths.get(1) {
         Some(p) => Some(read_csv::<D>(p).map_err(|e| format!("{p}: {e}"))?),
         None => None,
     };
@@ -796,152 +768,151 @@ fn print_law(law: &PairCountLaw) {
     println!("extrapolated r_min ≈ {:.4e}", law.r_min());
 }
 
-fn run_typed<const D: usize>(o: &Options, kind: CmdKind) -> Result<(), String> {
-    // Commands whose extra positionals are not dataset paths.
-    match kind {
-        CmdKind::Sample => return run_sample::<D>(o),
-        CmdKind::Knn => return run_knn::<D>(o),
-        _ => {}
+fn cmd_pc_plot<const D: usize>(o: &Options) -> Result<(), String> {
+    let (a, b) = load_sets::<D>(&o.positional)?;
+    let pc_cfg = pc_config(o);
+    let plot = match &b {
+        Some(b) => pc_plot_cross(&a, b, &pc_cfg),
+        None => pc_plot_self(&a, &pc_cfg),
     }
-    let (a, b) = load_sets::<D>(o)?;
-    let fit_opts = FitOptions::default();
-    match kind {
-        CmdKind::PcPlot => {
-            let pc_cfg = pc_config(o);
-            let plot = match &b {
-                Some(b) => pc_plot_cross(&a, b, &pc_cfg),
-                None => pc_plot_self(&a, &pc_cfg),
-            }
-            .map_err(|e| e.to_string())?;
-            println!("# radius, pair_count");
-            for (&r, &c) in plot.radii().iter().zip(plot.counts().iter()) {
-                println!("{r:.6e}, {c}");
-            }
-            print_law(&plot.fit(&fit_opts).map_err(|e| e.to_string())?);
-            Ok(())
-        }
-        CmdKind::Bops => {
-            let bops_cfg = bops_config::<D>(o)?;
-            let plot = match &b {
-                Some(b) => bops_plot_cross(&a, b, &bops_cfg),
-                None => bops_plot_self(&a, &bops_cfg),
-            }
-            .map_err(|e| e.to_string())?;
-            println!("# radius (s/2), bops");
-            for (&r, &v) in plot.radii().iter().zip(plot.values().iter()) {
-                println!("{r:.6e}, {v}");
-            }
-            print_law(&plot.fit(&fit_opts).map_err(|e| e.to_string())?);
-            Ok(())
-        }
-        CmdKind::Estimate => {
-            let r = o.radius.ok_or("estimate needs --radius")?;
-            let est = fit_law(&a, b.as_ref(), law_method::<D>(o)?)?;
-            let law = est.law();
-            let dataset = dataset_label(&a, b.as_ref());
-            let pairs = est.estimate_pair_count_observed(&dataset, r, o.true_pc);
-            print_law(law);
-            println!(
-                "estimate at r = {r}: pairs ≈ {pairs:.1}, selectivity ≈ {:.4e}{}",
-                law.selectivity(r),
-                if law.in_fitted_range(r) {
-                    ""
-                } else {
-                    "   (extrapolated outside fitted range)"
-                }
-            );
-            Ok(())
-        }
-        CmdKind::Join => {
-            let r = o.radius.ok_or("join needs --radius")?;
-            let name = o.algo.as_deref().unwrap_or("par-sweep");
-            let algo = JoinAlgorithm::ALL
-                .into_iter()
-                .find(|a| a.name() == name)
-                .ok_or_else(|| {
-                    let names: Vec<&str> = JoinAlgorithm::ALL.iter().map(|a| a.name()).collect();
-                    format!("unknown algorithm {name:?} (one of {})", names.join(", "))
-                })?;
-            let t0 = std::time::Instant::now();
-            // Par-sweep is the one algorithm with a thread knob: route
-            // `--threads` to it directly so the dispatch enum (which uses
-            // auto threads) doesn't swallow the flag.
-            let threads = o.threads.unwrap_or(0);
-            let metric = o.metric.unwrap_or(Metric::Linf);
-            let (count, denom) = match &b {
-                Some(b) => (
-                    if algo == JoinAlgorithm::ParSweep {
-                        par_sweep_join_count(a.points(), b.points(), r, metric, threads)
-                    } else {
-                        pair_count(algo, a.points(), b.points(), r, metric)
-                    },
-                    a.len() as f64 * b.len() as f64,
-                ),
-                None => (
-                    if algo == JoinAlgorithm::ParSweep {
-                        par_sweep_self_join_count(a.points(), r, metric, threads)
-                    } else {
-                        self_pair_count(algo, a.points(), r, metric)
-                    },
-                    a.len() as f64 * (a.len() as f64 - 1.0) / 2.0,
-                ),
-            };
-            println!(
-                "exact count = {count} (selectivity {:.4e}) via {} in {:.2?}",
-                count as f64 / denom.max(1.0),
-                algo.name(),
-                t0.elapsed()
-            );
-            Ok(())
-        }
-        CmdKind::Dim => {
-            let est = fit_law(&a, None, law_method::<D>(o)?)?;
-            let law = est.law();
-            println!(
-                "correlation fractal dimension D2 ≈ {:.4} (fit r^2 = {:.4}; embedding E = {D})",
-                law.exponent, law.fit.line.r_squared
-            );
-            Ok(())
-        }
-        CmdKind::Info => {
-            // A bad flag is a usage error; only a failed fit is reported.
-            let method = law_method::<D>(o)?;
-            println!("dataset: {} ({} points, {}-d)", a.name(), a.len(), D);
-            let bb = a.bbox();
-            let fmt_pt = |p: &sjpl_geom::Point<D>| {
-                let cs: Vec<String> = (0..D).map(|i| format!("{:.4}", p[i])).collect();
-                format!("({})", cs.join(", "))
-            };
-            println!("bbox: {} .. {}", fmt_pt(&bb.lo), fmt_pt(&bb.hi));
-            if let Ok(c) = a.centroid() {
-                println!("centroid: {}", fmt_pt(&c));
-            }
-            match fit_law(&a, None, method) {
-                Ok(est) => {
-                    let law = est.law();
-                    println!(
-                        "quick self-join law ({}): alpha = {:.3}, K = {:.3e}, r^2 = {:.4}",
-                        method_name(o).to_uppercase(),
-                        law.exponent,
-                        law.k,
-                        law.fit.line.r_squared
-                    );
-                    println!(
-                        "intrinsic dimension ≈ {:.2} of embedding {D}; extrapolated \
-                         closest-pair distance ≈ {:.3e}",
-                        law.exponent,
-                        law.r_min()
-                    );
-                }
-                Err(e) => println!("quick law fit unavailable: {e}"),
-            }
-            Ok(())
-        }
-        CmdKind::Sample | CmdKind::Knn => unreachable!("handled before dataset loading"),
+    .map_err(|e| e.to_string())?;
+    println!("# radius, pair_count");
+    for (&r, &c) in plot.radii().iter().zip(plot.counts().iter()) {
+        println!("{r:.6e}, {c}");
     }
+    print_law(
+        &plot
+            .fit(&FitOptions::default())
+            .map_err(|e| e.to_string())?,
+    );
+    Ok(())
 }
 
-fn run_sample<const D: usize>(o: &Options) -> Result<(), String> {
+fn cmd_bops<const D: usize>(o: &Options) -> Result<(), String> {
+    let (a, b) = load_sets::<D>(&o.positional)?;
+    let bops_cfg = bops_config::<D>(o)?;
+    let plot = match &b {
+        Some(b) => bops_plot_cross(&a, b, &bops_cfg),
+        None => bops_plot_self(&a, &bops_cfg),
+    }
+    .map_err(|e| e.to_string())?;
+    println!("# radius (s/2), bops");
+    for (&r, &v) in plot.radii().iter().zip(plot.values().iter()) {
+        println!("{r:.6e}, {v}");
+    }
+    print_law(
+        &plot
+            .fit(&FitOptions::default())
+            .map_err(|e| e.to_string())?,
+    );
+    Ok(())
+}
+
+fn cmd_estimate<const D: usize>(o: &Options) -> Result<(), String> {
+    let (a, b) = load_sets::<D>(&o.positional)?;
+    let r = o.radius.ok_or("estimate needs --radius")?;
+    let est = fit_law(&a, b.as_ref(), law_method::<D>(o)?)?;
+    let law = est.law();
+    let dataset = dataset_label(&a, b.as_ref());
+    let pairs = est.estimate_pair_count_observed(&dataset, r, o.true_pc);
+    print_law(law);
+    println!(
+        "estimate at r = {r}: pairs ≈ {pairs:.1}, selectivity ≈ {:.4e}{}",
+        law.selectivity(r),
+        if law.in_fitted_range(r) {
+            ""
+        } else {
+            "   (extrapolated outside fitted range)"
+        }
+    );
+    Ok(())
+}
+
+fn cmd_join<const D: usize>(o: &Options) -> Result<(), String> {
+    let (a, b) = load_sets::<D>(&o.positional)?;
+    let r = o.radius.ok_or("join needs --radius")?;
+    let algo = o.algo.unwrap_or(JoinAlgorithm::ParSweep);
+    let t0 = std::time::Instant::now();
+    // Par-sweep is the one algorithm with a thread knob: route `--threads`
+    // to it directly so the dispatch enum (which uses auto threads)
+    // doesn't swallow the flag.
+    let threads = o.threads.unwrap_or(0);
+    let metric = o.metric.unwrap_or(Metric::Linf);
+    let (count, denom) = match &b {
+        Some(b) => (
+            if algo == JoinAlgorithm::ParSweep {
+                par_sweep_join_count(a.points(), b.points(), r, metric, threads)
+            } else {
+                pair_count(algo, a.points(), b.points(), r, metric)
+            },
+            a.len() as f64 * b.len() as f64,
+        ),
+        None => (
+            if algo == JoinAlgorithm::ParSweep {
+                par_sweep_self_join_count(a.points(), r, metric, threads)
+            } else {
+                self_pair_count(algo, a.points(), r, metric)
+            },
+            a.len() as f64 * (a.len() as f64 - 1.0) / 2.0,
+        ),
+    };
+    println!(
+        "exact count = {count} (selectivity {:.4e}) via {} in {:.2?}",
+        count as f64 / denom.max(1.0),
+        algo.name(),
+        t0.elapsed()
+    );
+    Ok(())
+}
+
+fn cmd_dim<const D: usize>(o: &Options) -> Result<(), String> {
+    let (a, _) = load_sets::<D>(&o.positional)?;
+    let est = fit_law(&a, None, law_method::<D>(o)?)?;
+    let law = est.law();
+    println!(
+        "correlation fractal dimension D2 ≈ {:.4} (fit r^2 = {:.4}; embedding E = {D})",
+        law.exponent, law.fit.line.r_squared
+    );
+    Ok(())
+}
+
+fn cmd_info<const D: usize>(o: &Options) -> Result<(), String> {
+    let (a, _) = load_sets::<D>(&o.positional)?;
+    // A bad flag is a usage error; only a failed fit is reported.
+    let method = law_method::<D>(o)?;
+    println!("dataset: {} ({} points, {}-d)", a.name(), a.len(), D);
+    let bb = a.bbox();
+    let fmt_pt = |p: &sjpl_geom::Point<D>| {
+        let cs: Vec<String> = (0..D).map(|i| format!("{:.4}", p[i])).collect();
+        format!("({})", cs.join(", "))
+    };
+    println!("bbox: {} .. {}", fmt_pt(&bb.lo), fmt_pt(&bb.hi));
+    if let Ok(c) = a.centroid() {
+        println!("centroid: {}", fmt_pt(&c));
+    }
+    match fit_law(&a, None, method) {
+        Ok(est) => {
+            let law = est.law();
+            println!(
+                "quick self-join law ({}): alpha = {:.3}, K = {:.3e}, r^2 = {:.4}",
+                o.method.unwrap_or("bops").to_uppercase(),
+                law.exponent,
+                law.k,
+                law.fit.line.r_squared
+            );
+            println!(
+                "intrinsic dimension ≈ {:.2} of embedding {D}; extrapolated \
+                 closest-pair distance ≈ {:.3e}",
+                law.exponent,
+                law.r_min()
+            );
+        }
+        Err(e) => println!("quick law fit unavailable: {e}"),
+    }
+    Ok(())
+}
+
+fn cmd_sample<const D: usize>(o: &Options) -> Result<(), String> {
     use rand::SeedableRng;
     let [input, rate, seed, output] = o.positional.as_slice() else {
         return Err("sample needs: <in.csv> <rate> <seed> <out.csv>".to_owned());
@@ -963,7 +934,7 @@ fn run_sample<const D: usize>(o: &Options) -> Result<(), String> {
     Ok(())
 }
 
-fn run_knn<const D: usize>(o: &Options) -> Result<(), String> {
+fn cmd_knn<const D: usize>(o: &Options) -> Result<(), String> {
     use sjpl_index::KdTree;
     let [input, query] = o.positional.as_slice() else {
         return Err("knn needs: <a.csv> <x,y,...> [-k n]".to_owned());
@@ -1130,6 +1101,14 @@ mod tests {
         assert!(run(&sv(&["pc-plot"])).is_err());
         assert!(run(&sv(&["pc-plot", "/nonexistent/file.csv"])).is_err());
         assert!(run(&sv(&["estimate", "/nonexistent/file.csv"])).is_err());
+        // Degenerate radii fail before any file is read.
+        for (cmd, r) in [("estimate", "nan"), ("estimate", "-1"), ("join", "nan")] {
+            let e = run(&sv(&[cmd, "/nonexistent/file.csv", "-r", r])).unwrap_err();
+            assert!(
+                e.message.contains("must be finite and >= 0"),
+                "{cmd} -r {r}: {e}"
+            );
+        }
     }
 
     #[test]
@@ -1165,6 +1144,72 @@ mod tests {
     fn help_succeeds() {
         let _obs = crate::obs_lock();
         run(&sv(&["help"])).unwrap();
+    }
+
+    /// Each command parses every flag in its set and rejects every other
+    /// one with `<cmd> takes no <flag>`; every flag is read by some
+    /// command; and `sjpl help` has one entry per command and per flag.
+    #[test]
+    fn commands_accept_exactly_their_flags() {
+        // The first of these sample values each setter accepts.
+        let argv = |f: &crate::args::Flag| {
+            if !f.takes_value() {
+                return sv(&[f.name()]);
+            }
+            ["1", "0.5", "pc", "kd-tree"]
+                .iter()
+                .map(|v| sv(&[f.name(), v]))
+                .find(|a| parse(a).is_ok())
+                .unwrap_or_else(|| panic!("no sample value parses for {}", f.name()))
+        };
+        for c in COMMANDS {
+            for f in FLAGS {
+                match parse_for(c, &argv(f)) {
+                    Ok(_) => assert!(c.accepts(f.name()), "{} parsed {}", c.name(), f.name()),
+                    Err(e) => assert_eq!(e, format!("{} takes no {}", c.name(), f.name())),
+                }
+            }
+            for name in c.flags.split_whitespace() {
+                assert!(
+                    FLAGS.iter().any(|f| f.name() == name),
+                    "{}: {name}",
+                    c.name()
+                );
+            }
+        }
+        for f in FLAGS {
+            assert!(
+                COMMANDS
+                    .iter()
+                    .any(|c| c.flags.split(' ').any(|n| n == f.name()))
+                    || TRACE_FLAGS.split(' ').any(|n| n == f.name()),
+                "no command reads {}",
+                f.name()
+            );
+        }
+        let help = usage();
+        let (commands, rest) = help.split_once("\nflags").unwrap();
+        let (flags, _) = rest.split_once("\nexit codes").unwrap();
+        let heads = |part: &str| -> Vec<String> {
+            part.lines()
+                .filter_map(|l| l.strip_prefix("  "))
+                .filter(|l| !l.starts_with(' '))
+                .map(str::to_owned)
+                .collect()
+        };
+        let (commands, flags) = (heads(commands), heads(flags));
+        assert_eq!(commands.len(), COMMANDS.len(), "{help}");
+        assert_eq!(flags.len(), FLAGS.len(), "{help}");
+        for c in COMMANDS {
+            let n = commands
+                .iter()
+                .filter(|h| h.split(' ').next() == Some(c.name()));
+            assert_eq!(n.count(), 1, "{}", c.name());
+        }
+        for f in FLAGS {
+            let names = |h: &&String| h.split([' ', ',', '[']).any(|t| t == f.name());
+            assert_eq!(flags.iter().filter(names).count(), 1, "{}", f.name());
+        }
     }
 
     #[test]
@@ -1576,6 +1621,17 @@ mod tests {
         .unwrap_err();
         assert!(e.message.contains("ser_pts"), "{e}");
         assert!(e.message.contains("file stem"), "{e}");
+        // Keep-alive connections pin a worker each: 0 workers is a usage
+        // error, not "one per CPU".
+        let e = run(&sv(&[
+            "serve",
+            "--catalog",
+            cat.to_str().unwrap(),
+            "--threads",
+            "0",
+        ]))
+        .unwrap_err();
+        assert!(e.message.contains("--threads must be >= 1"), "{e}");
     }
 
     #[test]
@@ -1936,6 +1992,8 @@ mod tests {
         // Wrong arity in the query point.
         assert!(run(&sv(&["knn", p.to_str().unwrap(), "0.1", "-k", "2"])).is_err());
         assert!(run(&sv(&["knn", p.to_str().unwrap(), "a,b"])).is_err());
+        let e = run(&sv(&["knn", p.to_str().unwrap(), "0.1,0.1", "-k", "0"])).unwrap_err();
+        assert!(e.message.contains("k must be >= 1"), "{e}");
     }
 
     #[test]

@@ -18,6 +18,17 @@ pub(crate) fn record_fit_obs(fit: &LogLogFit) {
     sjpl_obs::counter_add("fit.count", 1);
 }
 
+/// Checks a query radius that comes from outside the program (a CLI flag,
+/// a `POST /estimate` body): it must be finite and `>= 0`. The law itself
+/// maps `NaN` to the Cartesian-product ceiling, so this is the one gate.
+pub fn check_radius(r: f64) -> Result<f64, String> {
+    if r.is_finite() && r >= 0.0 {
+        Ok(r)
+    } else {
+        Err(format!("radius {r} must be finite and >= 0"))
+    }
+}
+
 /// Whether a law describes a cross join (`A × B`, ordered pairs) or a self
 /// join (`A × A`, unordered, self-pairs omitted) — the paper's two cases
 /// from Definition 1.
@@ -212,6 +223,11 @@ mod tests {
         assert!((l.pair_count(0.25) - 100.0 * 0.25f64.powf(1.5)).abs() < 1e-9);
         assert_eq!(l.pair_count(0.0), 0.0);
         assert_eq!(l.pair_count(-1.0), 0.0);
+        // NaN falls through to the ceiling, so callers gate radii first.
+        for bad in [f64::NAN, f64::INFINITY, -1.0] {
+            assert!(check_radius(bad).is_err(), "{bad}");
+        }
+        assert_eq!(check_radius(0.0), Ok(0.0));
     }
 
     #[test]

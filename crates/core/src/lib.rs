@@ -91,7 +91,7 @@ pub use error::CoreError;
 pub use estimator::{EstimationMethod, SelectivityEstimator};
 pub use fractal::{correlation_dimension_bops, correlation_dimension_exact, generalized_dimension};
 pub use invariance::{random_rotation, shuffled_copy};
-pub use law::{JoinKind, LawProvenance, PairCountLaw};
+pub use law::{check_radius, JoinKind, LawProvenance, PairCountLaw};
 pub use pc_plot::{pc_plot_cross, pc_plot_self, PcPlot, PcPlotConfig};
 pub use streaming::StreamingBops;
 

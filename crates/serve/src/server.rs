@@ -1509,11 +1509,8 @@ fn estimate(req: &Request, shared: &Shared, request_id: u64) -> Routed {
         response,
         law: Some(law_name.to_owned()),
     };
-    if !radius.is_finite() || radius < 0.0 {
-        return routed(Response::text(
-            400,
-            format!("radius {radius} must be finite and >= 0"),
-        ));
+    if let Err(msg) = sjpl_core::check_radius(radius) {
+        return routed(Response::text(400, msg));
     }
     let law = {
         let cat = shared.catalog.lock().unwrap_or_else(|p| p.into_inner());
