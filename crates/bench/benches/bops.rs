@@ -14,9 +14,9 @@
 //! `sjpl-obs` recorder), and a disabled-vs-enabled recorder cost
 //! measurement (`obs_overhead`). Schema 3 adds the two sections `sjpl
 //! regress` consumes: a `summary` (schema-versioned `{name, mean_ns,
-//! prev_mean_ns}` series — the external bench-trajectory harness reads the
-//! same shape) and an `accuracy` array of estimator-vs-exact-join records
-//! on fixed datasets and radii. Passing `-- --profile` additionally runs
+//! min_ns, prev_mean_ns}` series, gated on `min_ns`; the external
+//! bench-trajectory harness reads the same shape) and an `accuracy` array
+//! of estimator-vs-exact-join records on fixed datasets and radii. Passing `-- --profile` additionally runs
 //! the span-stack sampling profiler over the observed workload and embeds
 //! a `profile` section: sampling rate, sample accounting, and the top
 //! spans by self time (the flamegraph's widest leaves, machine-readable).
@@ -361,9 +361,11 @@ fn main() {
     json.push_str("  \"summary\": {\"schema\": 1, \"series\": [\n");
     for (i, r) in results.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"mean_ns\": {:.1}, \"prev_mean_ns\": {}}}{}\n",
+            "    {{\"name\": \"{}\", \"mean_ns\": {:.1}, \"min_ns\": {:.1}, \
+             \"prev_mean_ns\": {}}}{}\n",
             r.name,
             r.mean_ns,
+            r.min_ns,
             json_opt(prev.get(&r.name).copied()),
             if i + 1 < results.len() { "," } else { "" }
         ));

@@ -37,6 +37,24 @@ impl Command {
         let flags = format!("{TRACE_FLAGS} {}", self.flags);
         flags.split(' ').any(|f| f == flag)
     }
+
+    /// The most positional arguments the usage names, or `None` when its
+    /// last one repeats (`[data.csv…]`). A flag in the usage and the value
+    /// after it are not positional.
+    fn max_args(&self) -> Option<usize> {
+        let mut words = self.usage.split(' ').skip(1);
+        let mut n = 0;
+        while let Some(w) = words.next() {
+            if w.starts_with('-') {
+                words.next();
+            } else if w.contains('…') {
+                return None;
+            } else {
+                n += 1;
+            }
+        }
+        Some(n)
+    }
 }
 
 /// The observability flags, which every command accepts.
@@ -233,11 +251,19 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
     result
 }
 
-/// Parses `argv` for `cmd`: a flag the command does not read is an error.
+/// Parses `argv` for `cmd`: a flag the command does not read is an error,
+/// and so is a positional argument beyond those its usage names.
 fn parse_for(cmd: &Command, argv: &[String]) -> Result<Options, String> {
     let opts = parse(argv)?;
-    match opts.given.iter().find(|f| !cmd.accepts(f)) {
-        Some(flag) => Err(format!("{} takes no {flag}", cmd.name())),
+    if let Some(flag) = opts.given.iter().find(|f| !cmd.accepts(f)) {
+        return Err(format!("{} takes no {flag}", cmd.name()));
+    }
+    match cmd.max_args().and_then(|n| opts.positional.get(n)) {
+        Some(extra) => Err(format!(
+            "{}: unexpected argument {extra:?} (usage: {})",
+            cmd.name(),
+            cmd.usage
+        )),
         None => Ok(opts),
     }
 }
@@ -1209,6 +1235,45 @@ mod tests {
         for f in FLAGS {
             let names = |h: &&String| h.split([' ', ',', '[']).any(|t| t == f.name());
             assert_eq!(flags.iter().filter(names).count(), 1, "{}", f.name());
+        }
+    }
+
+    /// Each command takes the positional arguments its usage names and no
+    /// more: one past them is a usage error, raised before any file is
+    /// read, as an unused flag is.
+    #[test]
+    fn commands_reject_extra_arguments() {
+        let cmd = |name: &str| COMMANDS.iter().find(|c| c.name() == name).unwrap();
+        assert_eq!(cmd("dim").max_args(), Some(1));
+        assert_eq!(cmd("bops").max_args(), Some(2));
+        assert_eq!(cmd("estimate").max_args(), Some(2));
+        assert_eq!(cmd("catalog-add").max_args(), Some(4));
+        assert_eq!(cmd("knn").max_args(), Some(2));
+        assert_eq!(cmd("serve").max_args(), None);
+        for c in COMMANDS {
+            let Some(n) = c.max_args() else { continue };
+            let argv: Vec<String> = (0..=n).map(|i| format!("/nonexistent/{i}.csv")).collect();
+            assert!(parse_for(c, &argv[..n]).is_ok(), "{}", c.name());
+            let Err(e) = parse_for(c, &argv) else {
+                panic!("{} took {} arguments", c.name(), n + 1)
+            };
+            let want = format!("{}: unexpected argument \"/nonexistent/{n}.csv\"", c.name());
+            assert!(e.starts_with(&want), "{e}");
+        }
+        let _obs = crate::obs_lock();
+        for argv in [
+            &[
+                "bops",
+                "/nonexistent/a.csv",
+                "/nonexistent/b.csv",
+                "/nonexistent/c.csv",
+            ][..],
+            &["dim", "/nonexistent/a.csv", "/nonexistent/b.csv"],
+            &["info", "/nonexistent/a.csv", "/nonexistent/b.csv"],
+        ] {
+            let e = run(&sv(argv)).unwrap_err();
+            assert_eq!(e.code, 1);
+            assert!(e.message.contains("unexpected argument"), "{e}");
         }
     }
 

@@ -19,10 +19,13 @@
 //!
 //! Comparison is by name: series present in only one file are reported but
 //! never fail the gate (benches come and go); a name present in both fails
-//! when the new mean exceeds the old by more than `--max-perf-regress`
+//! when the new time exceeds the old by more than `--max-perf-regress`
 //! (percent), or when a matching accuracy record's relative error grows by
-//! more than `--max-error-regress` (absolute). Identical inputs therefore
-//! always pass — that is the CI self-check.
+//! more than `--max-error-regress` (absolute). The time compared is the
+//! series' `min_ns` when both files carry it, else its `mean_ns`: a mean
+//! swings with every stall of a shared host, the fastest iteration much
+//! less. Identical inputs therefore always pass — that is the CI
+//! self-check.
 //!
 //! A file that parses but carries *none* of those sections cannot be
 //! gated at all; that case exits with the distinct code
@@ -86,16 +89,26 @@ impl Report {
     }
 }
 
-/// Extracts the perf series `(name, mean_ns)` from a report document, in
-/// order of preference: `summary.series`, `results`, `spans`.
-fn perf_series(doc: &Json) -> Vec<(String, f64)> {
-    let from = |items: &[Json]| -> Vec<(String, f64)> {
+/// One perf series: its mean time and, where the report has it, its
+/// fastest.
+struct Perf {
+    name: String,
+    mean_ns: f64,
+    min_ns: Option<f64>,
+}
+
+/// Extracts the perf series from a report document, in order of
+/// preference: `summary.series`, `results`, `spans`.
+fn perf_series(doc: &Json) -> Vec<Perf> {
+    let from = |items: &[Json]| -> Vec<Perf> {
         items
             .iter()
             .filter_map(|it| {
-                let name = it.get("name")?.as_str()?.to_owned();
-                let mean = it.get("mean_ns")?.as_f64()?;
-                Some((name, mean))
+                Some(Perf {
+                    name: it.get("name")?.as_str()?.to_owned(),
+                    mean_ns: it.get("mean_ns")?.as_f64()?,
+                    min_ns: it.get("min_ns").and_then(Json::as_f64),
+                })
             })
             .collect()
     };
@@ -177,30 +190,37 @@ pub fn compare(old: &Json, new: &Json, t: &Thresholds) -> Report {
 
     let old_perf = perf_series(old);
     let new_perf = perf_series(new);
-    for (name, old_mean) in &old_perf {
-        let Some(new_mean) = lookup(&new_perf, name) else {
+    for o in &old_perf {
+        let name = &o.name;
+        let Some(n) = new_perf.iter().find(|n| n.name == *name) else {
             rep.notes.push(format!("perf {name}: gone from new report"));
             continue;
         };
         rep.perf_compared += 1;
-        if *old_mean > 0.0 {
-            let growth = new_mean / old_mean - 1.0;
+        let (stat, old_ns, new_ns) = match (o.min_ns, n.min_ns) {
+            (Some(old_min), Some(new_min)) => ("min", old_min, new_min),
+            _ => ("mean", o.mean_ns, n.mean_ns),
+        };
+        if old_ns > 0.0 {
+            let growth = new_ns / old_ns - 1.0;
             if growth > t.max_perf {
                 rep.regressions.push(format!(
-                    "perf {name}: mean {old_mean:.0}ns -> {new_mean:.0}ns \
+                    "perf {name}: {stat} {old_ns:.0}ns -> {new_ns:.0}ns \
                      (+{:.1}% > allowed +{:.1}%)",
                     growth * 100.0,
                     t.max_perf * 100.0
                 ));
             } else if growth < -t.max_perf {
-                rep.notes
-                    .push(format!("perf {name}: improved {:.1}%", -growth * 100.0));
+                rep.notes.push(format!(
+                    "perf {name}: {stat} improved {:.1}%",
+                    -growth * 100.0
+                ));
             }
         }
     }
-    for (name, _) in &new_perf {
-        if lookup(&old_perf, name).is_none() {
-            rep.notes.push(format!("perf {name}: new series"));
+    for n in &new_perf {
+        if !old_perf.iter().any(|o| o.name == n.name) {
+            rep.notes.push(format!("perf {}: new series", n.name));
         }
     }
 
@@ -395,6 +415,37 @@ mod tests {
             max_error: 0.05,
         };
         assert!(compare(&doc(OLD), &doc(&new), &loose).passed());
+    }
+
+    /// With `min_ns` in both reports the gate reads it, not the mean: a
+    /// noisy mean alone passes, a slower fastest run fails.
+    #[test]
+    fn perf_gates_on_min_ns_where_both_reports_have_it() {
+        let old = r#"{"summary": {"series": [
+            {"name": "bops/streaming/insert_40k", "mean_ns": 1000000, "min_ns": 800000}
+        ]}}"#;
+        let t = Thresholds::default();
+        // +87% mean while the minimum falls: passes, as an improvement.
+        let noisy = old
+            .replace("\"mean_ns\": 1000000", "\"mean_ns\": 1870000")
+            .replace("\"min_ns\": 800000", "\"min_ns\": 700000");
+        let rep = compare(&doc(old), &doc(&noisy), &t);
+        assert!(rep.passed(), "{:?}", rep.regressions);
+        assert!(
+            rep.notes.iter().any(|n| n.contains("min improved")),
+            "{:?}",
+            rep.notes
+        );
+        // +50% minimum with the mean unchanged: fails, naming the statistic.
+        let slower = old.replace("\"min_ns\": 800000", "\"min_ns\": 1200000");
+        let rep = compare(&doc(old), &doc(&slower), &t);
+        assert_eq!(rep.regressions.len(), 1, "{:?}", rep.regressions);
+        assert!(rep.regressions[0].contains("min 800000ns -> 1200000ns"));
+        // A report without `min_ns` on either side falls back to the mean.
+        let no_min = noisy.replace(", \"min_ns\": 700000", "");
+        let rep = compare(&doc(old), &doc(&no_min), &t);
+        assert_eq!(rep.regressions.len(), 1, "{:?}", rep.regressions);
+        assert!(rep.regressions[0].contains("mean 1000000ns -> 1870000ns"));
     }
 
     #[test]

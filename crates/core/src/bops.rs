@@ -35,15 +35,19 @@
 //!   split into slices and a run straddling a split is carried across it.
 //! * **Per level** — every other schedule: non-dyadic ratios (coarser cells
 //!   are not aligned prefixes) and `D · levels > 128` (the Morton key would
-//!   overflow `u128`, e.g. 16-d with a deep dyadic schedule). The points
-//!   are normalized into a copy once; at each level they are quantized
-//!   afresh and their `D` cell coordinates packed into the narrowest key
-//!   holding `D · ⌈log₂ cells⌉` bits plus the side tag — `u64`, `u128`,
-//!   else the `[u32; D]` coordinates with the tag alongside — then sorted
-//!   and counted by the same kernel at one level. A level whose whole key
+//!   overflow `u128`, e.g. 16-d with a deep dyadic schedule). One table
+//!   holds every level's cell boundaries, merged and sorted
+//!   ([`SlotTable`]); one pass over the raw points finds each coordinate's
+//!   place among them (a `u16` slot), and each level reads its cell
+//!   coordinates from `cells[level][slot]`, with no division. Those `D`
+//!   coordinates are packed into the narrowest key holding
+//!   `D · ⌈log₂ cells⌉` bits plus the side tag — `u64`, `u128`, else the
+//!   `[u32; D]` coordinates with the tag alongside — then sorted and
+//!   counted by the same kernel at one level. A level whose whole key
 //!   space `2^(D · ⌈log₂ cells⌉)` is no larger than the input counts into
 //!   a dense array instead of sorting. Levels are independent, so they
-//!   stripe over the worker threads.
+//!   stripe over the worker threads. A grid too fine for the table (more
+//!   than 65 535 distinct boundaries) divides at each level instead.
 //!
 //! The config picks the schedule. The per-level path is **not** silent: the
 //! config reports it before any work ([`BopsConfig::fallback`], which the
@@ -53,10 +57,11 @@
 //! # Observability
 //!
 //! The hot path is instrumented with [`sjpl_obs`] spans — `bops.normalize`,
-//! `bops.quantize`, `bops.sort`, `bops.scan` (the per-level path runs
-//! entirely inside `bops.scan`) — plus the `bops.points` counter and the
-//! `bops.levels` gauge, and every fit records `fit.r_squared` /
-//! `fit.exponent` / `fit.rmse_log10` gauges. With the recorder disabled
+//! `bops.quantize`, `bops.sort`, `bops.scan` (the per-level path finds
+//! its slots in `bops.quantize`, then sorts and counts inside
+//! `bops.scan`) — plus the `bops.points` counter and the `bops.levels`
+//! gauge, and every fit records `fit.r_squared` / `fit.exponent` /
+//! `fit.rmse_log10` gauges. With the recorder disabled
 //! (the default) each probe is a single relaxed atomic load, measured at
 //! < 2% of the end-to-end BOPS cost (see `BENCH_bops.json`,
 //! `obs_overhead`).
@@ -199,8 +204,9 @@ impl BopsPlot {
         self.kind
     }
 
-    /// The key schedule that produced the values: `"sorted-morton-64"`,
-    /// `"sorted-morton-128"`, or `"sorted-per-level"`.
+    /// The key schedule that produced the values: `"sorted-morton-32"`,
+    /// `"sorted-morton-64"`, `"sorted-morton-128"`, or
+    /// `"sorted-per-level"`.
     pub fn engine_used(&self) -> &'static str {
         self.engine_used
     }
@@ -274,9 +280,11 @@ impl BopsPlot {
 
 /// The grid coordinate of `x` (normalized to `[0, 1]`) on an axis with
 /// `cells` cells of side `s`. The point at exactly 1.0 belongs to the last
-/// cell. The per-level schedule quantizes through this function; the
-/// Morton schedule's [`morton_coord`] multiplies by `1/s = 2^levels`
-/// instead, which rounds identically because `s` is a power of two — the
+/// cell. The per-level schedule's cells are this function's: its
+/// [`SlotTable`] is built from it (and is checked against it), and a grid
+/// too fine for the table quantizes through it directly. The Morton
+/// schedule's [`morton_coord`] multiplies by `1/s = 2^levels` instead,
+/// which rounds identically because `s` is a power of two — the
 /// bit-exactness guarantee starts here. `check_cfg` bounds `cells` by
 /// `u32::MAX`, so the saturating `u32` conversion clamps exactly like a
 /// `u64` one would, at half the cost.
@@ -676,26 +684,37 @@ fn morton_values<K: MortonKey, const D: usize>(
 // ---------------------------------------------------------------------------
 
 /// Packs `D` cell coordinates of `bits` bits each into one integer key.
+/// Each half of the coordinates is gathered in a `u64` word when it fits
+/// in one: a variable shift of a `u128` costs a branch and several
+/// instructions, of a `u64` one instruction.
 #[inline]
-fn pack<K: MortonKey, const D: usize>(coords: [u32; D], bits: u32) -> K {
-    coords
-        .into_iter()
-        .fold(K::from(0), |k, c| (k << bits) | K::from(c))
+fn pack<K: MortonKey + From<u64>, const D: usize>(coords: [u32; D], bits: u32) -> K {
+    let word = |cs: &[u32]| cs.iter().fold(0u64, |w, &c| (w << bits) | u64::from(c));
+    // The low half is never the shorter one.
+    let (hi, lo) = coords.split_at(D / 2);
+    let lo_bits = lo.len() as u32 * bits;
+    if lo_bits <= u64::BITS {
+        (K::from(word(hi)) << lo_bits) | K::from(word(lo))
+    } else {
+        coords
+            .into_iter()
+            .fold(K::from(0u32), |k, c| (k << bits) | K::from(c))
+    }
 }
 
-/// One level's sum from sorted keys: `key(p, side)` is a point's key
+/// One level's sum from sorted keys: `key(q, side)` is a point's key
 /// carrying its side (0 for A, 1 for B), `same_cell` compares two keys'
 /// cells and `side` reads a cross join key's side back.
-fn sorted_level<K: Ord + Copy + Send + Sync, const D: usize>(
-    a: &[Point<D>],
-    b: Option<&[Point<D>]>,
-    key: impl Fn(&Point<D>, u32) -> K,
+fn sorted_level<T, K: Ord + Copy + Send + Sync>(
+    a: &[T],
+    b: Option<&[T]>,
+    key: impl Fn(&T, u32) -> K,
     same_cell: impl Fn(K, K) -> bool + Sync,
     side: impl Fn(K) -> u64 + Sync,
 ) -> u64 {
     let mut keys = Vec::with_capacity(a.len() + b.map_or(0, <[_]>::len));
-    keys.extend(a.iter().map(|p| key(p, 0)));
-    keys.extend(b.iter().flat_map(|b| b.iter().map(|p| key(p, 1))));
+    keys.extend(a.iter().map(|q| key(q, 0)));
+    keys.extend(b.iter().flat_map(|b| b.iter().map(|q| key(q, 1))));
     keys.sort_unstable();
     let ends = |prev: K, k: K| usize::from(!same_cell(prev, k));
     // One thread: the caller already runs one level per worker.
@@ -708,27 +727,22 @@ fn sorted_level<K: Ord + Copy + Send + Sync, const D: usize>(
 
 /// The same sum counted into a dense array of `space` cells — cheaper than
 /// sorting once the level's whole key space is no larger than the input.
-fn dense_level<const D: usize>(
-    a: &[Point<D>],
-    b: Option<&[Point<D>]>,
-    space: usize,
-    key: impl Fn(&Point<D>) -> u64,
-) -> u64 {
+fn dense_level<T>(a: &[T], b: Option<&[T]>, space: usize, key: impl Fn(&T) -> u64) -> u64 {
     let mut count = vec![0u64; space];
     let mut total = 0u64;
     match b {
         Some(b) => {
-            for p in a {
-                count[key(p) as usize] += 1;
+            for q in a {
+                count[key(q) as usize] += 1;
             }
-            for p in b {
-                total += count[key(p) as usize];
+            for q in b {
+                total += count[key(q) as usize];
             }
         }
         // Each point pairs with the points already counted in its cell.
         None => {
-            for p in a {
-                let c = &mut count[key(p) as usize];
+            for q in a {
+                let c = &mut count[key(q) as usize];
                 total += *c;
                 *c += 1;
             }
@@ -737,28 +751,191 @@ fn dense_level<const D: usize>(
     total
 }
 
-/// One level of the per-level path at cell side `s` over normalized
-/// points, keyed by the narrowest representation of the level's cell
-/// coordinates.
-fn per_level_count<const D: usize>(a: &[Point<D>], b: Option<&[Point<D>]>, s: f64) -> u64 {
-    let cells = cells_per_axis(s);
+/// One level of the per-level path on a grid of `cells` cells per axis:
+/// `coords` gives a point's cell coordinates, which are packed into the
+/// narrowest key that holds them.
+fn per_level_count<T, const D: usize>(
+    a: &[T],
+    b: Option<&[T]>,
+    cells: u64,
+    coords: impl Fn(&T) -> [u32; D],
+) -> u64 {
     let bits = u64::BITS - (cells - 1).leading_zeros();
     let key_bits = D as u32 * bits;
     let t = u32::from(b.is_some());
-    let coords = |p: &Point<D>| cell_key(p, cells, s);
     let n = a.len() + b.map_or(0, <[_]>::len);
     if key_bits < 64 && 1u64 << key_bits <= n as u64 {
-        dense_level(a, b, 1 << key_bits, |p| pack::<u64, D>(coords(p), bits))
+        dense_level(a, b, 1 << key_bits, |q| pack::<u64, D>(coords(q), bits))
     } else if key_bits + t <= 64 {
         // The side tag takes the lowest bit of a packed key.
-        let key = |p: &Point<D>, s| (pack::<u64, D>(coords(p), bits) << t) | u64::from(s);
+        let key = |q: &T, s| (pack::<u64, D>(coords(q), bits) << t) | u64::from(s);
         sorted_level(a, b, key, |x, y| (x ^ y) >> t == 0, |k| k & 1)
     } else if key_bits + t <= 128 {
-        let key = |p: &Point<D>, s| (pack::<u128, D>(coords(p), bits) << t) | u128::from(s);
+        let key = |q: &T, s| (pack::<u128, D>(coords(q), bits) << t) | u128::from(s);
         sorted_level(a, b, key, |x, y| (x ^ y) >> t == 0, |k| (k & 1) as u64)
     } else {
-        let key = |p: &Point<D>, s| (coords(p), s);
+        let key = |q: &T, s| (coords(q), s);
         sorted_level(a, b, key, |x, y| x.0 == y.0, |k| u64::from(k.1))
+    }
+}
+
+/// The most distinct bounds a [`SlotTable`] holds, so that a slot
+/// (`0..=bounds`) fits a `u16`.
+const MAX_BOUNDS: usize = u16::MAX as usize;
+
+/// The most bounds a [`SlotTable`] generates before de-duplication, which
+/// caps the cost of building one at a few milliseconds. Only nested levels
+/// share bounds: dyadic(16), the finest grid that fits, generates 131 054
+/// for its 65 535.
+const MAX_RAW_BOUNDS: u64 = 1 << 17;
+
+/// The first guess of [`SlotTable::slot`] has `2^GUESS_BITS` bins over
+/// `[0, 1)`; scaling by a power of two is exact.
+const GUESS_BITS: u32 = 12;
+
+/// Every level's cell boundaries on one axis, merged: the per-level path
+/// finds a coordinate's place among them once (its *slot*) and reads its
+/// cell at every level from `cells[level][slot]`, instead of dividing by
+/// each level's side.
+///
+/// Exact by construction: `x ↦ (x / s) as u32` is monotone in `x` (IEEE
+/// division is correctly rounded, so monotone), hence [`cell_coord`] only
+/// changes at its thresholds, and the table holds every level's thresholds
+/// to the last bit. Between two neighbouring bounds no level's cell
+/// changes, so a slot's cells are [`cell_coord`] at the slot's lower bound.
+struct SlotTable {
+    /// The sorted, distinct thresholds of every level.
+    bounds: Vec<f64>,
+    /// `guess[g]`: the number of bounds `<= g / 2^GUESS_BITS`.
+    guess: Vec<u16>,
+    /// `cells[level][slot]`: the cell coordinate of any `x` in the slot.
+    cells: Vec<Vec<u32>>,
+}
+
+/// The least double `x` with `(x / s) as u32 >= c`, for `c >= 1`: the
+/// lower edge of cell `c` as [`cell_coord`] draws it. `c · s` is within a
+/// few ULPs of it, and the division is monotone in `x`, so stepping ULPs
+/// from there finds it.
+fn threshold(c: u32, s: f64) -> f64 {
+    let c = f64::from(c);
+    let mut x = c * s;
+    while x / s < c {
+        x = x.next_up();
+    }
+    while x.next_down() / s >= c {
+        x = x.next_down();
+    }
+    x
+}
+
+impl SlotTable {
+    /// The table for grid sides `sides`, or `None` when it would need more
+    /// than [`MAX_BOUNDS`] distinct bounds (or [`MAX_RAW_BOUNDS`] before
+    /// de-duplication); [`cell_coord`] then quantizes every level instead.
+    fn new(sides: &[f64]) -> Option<SlotTable> {
+        let mut bounds = Vec::new();
+        for &s in sides {
+            let cells = cells_per_axis(s);
+            if bounds.len() as u64 + cells > MAX_RAW_BOUNDS {
+                return None;
+            }
+            bounds.extend((1..cells as u32).map(|c| threshold(c, s)));
+        }
+        bounds.sort_unstable_by(f64::total_cmp);
+        bounds.dedup();
+        if bounds.len() > MAX_BOUNDS {
+            return None;
+        }
+        let guess = (0..=1u32 << GUESS_BITS)
+            .map(|g| {
+                let edge = f64::from(g) / f64::from(1u32 << GUESS_BITS);
+                bounds.partition_point(|&x| x <= edge) as u16
+            })
+            .collect();
+        let cells = sides
+            .iter()
+            .map(|&s| {
+                let n = cells_per_axis(s);
+                std::iter::once(0)
+                    .chain(bounds.iter().map(|&x| cell_coord(x, s, n)))
+                    .collect()
+            })
+            .collect();
+        Some(SlotTable {
+            bounds,
+            guess,
+            cells,
+        })
+    }
+
+    /// The number of bounds `<= x`: `x`'s slot. A NaN or negative `x` has
+    /// slot 0, where every level's cell is 0, as in [`cell_coord`].
+    #[inline]
+    fn slot(&self, x: f64) -> u16 {
+        let scale = f64::from(1u32 << GUESS_BITS);
+        // `g / 2^GUESS_BITS <= x`, so the first `guess[g]` bounds are <= x.
+        let g = ((x * scale) as usize).min(1 << GUESS_BITS);
+        let mut k = self.guess[g] as usize;
+        while self.bounds.get(k).is_some_and(|&b| b <= x) {
+            k += 1;
+        }
+        k as u16
+    }
+
+    /// The slot of every coordinate of `pts`, normalized with
+    /// [`NormalizeInfo::apply`]'s arithmetic, fanning out over `threads`.
+    fn slots<const D: usize>(
+        &self,
+        pts: &[Point<D>],
+        info: &NormalizeInfo<D>,
+        threads: usize,
+    ) -> Vec<[u16; D]> {
+        let mut out = vec![[0u16; D]; pts.len()];
+        let chunk = pts
+            .len()
+            .div_ceil(workers(pts.len(), MIN_POINTS_PER_THREAD, threads))
+            .max(1);
+        fan_out(out.chunks_mut(chunk).zip(pts.chunks(chunk)), |(oc, pc)| {
+            for (o, p) in oc.iter_mut().zip(pc) {
+                let q = info.apply(p);
+                *o = std::array::from_fn(|i| self.slot(q[i]));
+            }
+        });
+        out
+    }
+}
+
+/// Values for all levels (finest first, at `sides`) from per-level keys:
+/// a cross join when `b` is given, else a self join of `a`. The
+/// [`SlotTable`] quantizes every level in one pass over the raw points;
+/// a config too fine for the table divides at each level instead.
+fn per_level_values<const D: usize>(
+    a: &[Point<D>],
+    b: Option<&[Point<D>]>,
+    info: &NormalizeInfo<D>,
+    sides: &[f64],
+    threads: usize,
+) -> Vec<u64> {
+    let levels = sides.len() as u32;
+    let quantize = sjpl_obs::span("bops.quantize");
+    let table = SlotTable::new(sides).map(|table| {
+        let slots = |pts: &[Point<D>]| table.slots(pts, info, threads);
+        let (sa, sb) = (slots(a), b.map(slots));
+        (table, sa, sb)
+    });
+    quantize.close();
+    let scan = sjpl_obs::span("bops.scan");
+    match &table {
+        Some((table, sa, sb)) => per_level(levels, threads, scan.context(), |j| {
+            let cells = &table.cells[j as usize];
+            let coords = |q: &[u16; D]| q.map(|k| cells[k as usize]);
+            per_level_count(sa, sb.as_deref(), cells_per_axis(sides[j as usize]), coords)
+        }),
+        None => per_level(levels, threads, scan.context(), |j| {
+            let s = sides[j as usize];
+            let cells = cells_per_axis(s);
+            per_level_count(a, b, cells, |p| cell_key(&info.apply(p), cells, s))
+        }),
     }
 }
 
@@ -829,19 +1006,7 @@ pub(crate) fn plot<const D: usize>(
         KeySchedule::Morton32 => morton_values::<u32, D>(pa, pb, &info, levels, threads),
         KeySchedule::Morton64 => morton_values::<u64, D>(pa, pb, &info, levels, threads),
         KeySchedule::Morton128 => morton_values::<u128, D>(pa, pb, &info, levels, threads),
-        KeySchedule::PerLevel => {
-            // Every level quantizes every point again, so this schedule
-            // normalizes a copy once instead of at each level.
-            let normalize = sjpl_obs::span("bops.normalize");
-            let na = a.normalized(&info);
-            let nb = b.map(|b| b.normalized(&info));
-            normalize.close();
-            let (pa, pb) = (na.points(), nb.as_ref().map(PointSet::points));
-            let scan = sjpl_obs::span("bops.scan");
-            per_level(levels, threads, scan.context(), |i| {
-                per_level_count(pa, pb, sides[i as usize])
-            })
-        }
+        KeySchedule::PerLevel => per_level_values(pa, pb, &info, &sides, threads),
     };
     Ok(BopsPlot {
         radii: sides.iter().map(|&s| info.invert_dist(s / 2.0)).collect(),
@@ -1024,6 +1189,83 @@ mod tests {
         }
     }
 
+    /// The slot table against [`cell_coord`], the division it replaces:
+    /// at every bound and 4 ULPs either side of it, and at 0, 1.0 and just
+    /// above 1.0, each level's cell must be the division's.
+    fn assert_table_exact(cfg: BopsConfig) -> usize {
+        let sides = cfg.sides();
+        let table = SlotTable::new(&sides).unwrap_or_else(|| panic!("no table for {cfg:?}"));
+        let mut xs = vec![
+            0.0,
+            1.0,
+            1.0f64.next_up(),
+            -0.0,
+            -1.0,
+            f64::NAN,
+            f64::INFINITY,
+        ];
+        for &b in &table.bounds {
+            let (mut lo, mut hi) = (b, b);
+            xs.push(b);
+            for _ in 0..4 {
+                (lo, hi) = (lo.next_down(), hi.next_up());
+                xs.extend([lo, hi]);
+            }
+        }
+        for &x in &xs {
+            let slot = table.slot(x) as usize;
+            assert_eq!(slot, table.bounds.partition_point(|&b| b <= x), "x = {x:e}");
+            for (cells, &s) in table.cells.iter().zip(&sides) {
+                assert_eq!(
+                    cells[slot],
+                    cell_coord(x, s, cells_per_axis(s)),
+                    "x = {x:e}, s = {s:e}, {cfg:?}"
+                );
+            }
+        }
+        table.bounds.len()
+    }
+
+    #[test]
+    fn slot_table_matches_the_division_around_every_bound() {
+        // The shipped per-level configs, and the table's size limit.
+        assert_eq!(assert_table_exact(BopsConfig::high_dimensional()), 244);
+        assert_eq!(assert_table_exact(BopsConfig::dyadic(12)), 4095);
+        assert_eq!(assert_table_exact(BopsConfig::dyadic(16)), MAX_BOUNDS);
+        assert!(SlotTable::new(&BopsConfig::dyadic(17).sides()).is_none());
+        // Ratio 0.7: 27 levels generate 70 996 bounds, all distinct (over
+        // the slot width); 30 levels generate over 2^17.
+        let gentle = |levels| {
+            SlotTable::new(
+                &BopsConfig {
+                    levels,
+                    ratio: 0.7,
+                    threads: 1,
+                }
+                .sides(),
+            )
+        };
+        assert!(gentle(26).is_some());
+        assert!(gentle(27).is_none());
+        assert!(gentle(30).is_none());
+        // A sweep of gentle and steep ratios over 1 to 24 levels.
+        let mut checked = 0;
+        for ratio in [0.3, 0.45, 0.6, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95] {
+            for levels in [1, 2, 3, 5, 8, 12, 16, 20, 24] {
+                let cfg = BopsConfig {
+                    levels,
+                    ratio,
+                    threads: 1,
+                };
+                if check_cfg(&cfg).is_ok() && SlotTable::new(&cfg.sides()).is_some() {
+                    assert_table_exact(cfg);
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked >= 60, "{checked} configs had a table");
+    }
+
     #[test]
     fn auto_resolution_picks_the_expected_engine() {
         let schedule = |d: usize, cfg: BopsConfig, tag_bits: u32| match d {
@@ -1123,20 +1365,14 @@ mod tests {
         let info = NormalizeInfo::from_sets(&[a, b]).unwrap();
         let (a, b) = (a.points(), b.points());
         let sides = BopsConfig::dyadic(levels).sides();
-        let per_level = |b: Option<&[Point<D>]>| -> Vec<u64> {
-            let na = PointSet::new("a", a.to_vec()).normalized(&info);
-            let nb = b.map(|b| PointSet::new("b", b.to_vec()).normalized(&info));
-            let (na, nb) = (na.points(), nb.as_ref().map(PointSet::points));
-            sides.iter().map(|&s| per_level_count(na, nb, s)).collect()
-        };
         assert_eq!(
             morton_values::<K, D>(a, Some(b), &info, levels, 1),
-            per_level(Some(b)),
+            per_level_values(a, Some(b), &info, &sides, 1),
             "{D}-d cross"
         );
         assert_eq!(
             morton_values::<K, D>(a, None, &info, levels, 1),
-            per_level(None),
+            per_level_values(a, None, &info, &sides, 1),
             "{D}-d self"
         );
     }

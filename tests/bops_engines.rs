@@ -168,6 +168,29 @@ proptest! {
         assert_self_matches(&a, BopsConfig::high_dimensional());
     }
 
+    /// The per-level path at any ratio and level count (slot tables of
+    /// every size, and grids too fine for one, which divide at each level)
+    /// against the division oracle, in 2, 8 and 16 dimensions.
+    #[test]
+    fn per_level_matches_the_division_oracle(
+        (a2, b2) in (point_set::<2>(2, 120), point_set::<2>(1, 120)),
+        (a8, b8) in (point_set::<8>(2, 60), point_set::<8>(1, 60)),
+        (a16, b16) in (point_set::<16>(2, 40), point_set::<16>(1, 40)),
+        (ratio, levels) in (0.3f64..0.95, 1u32..25),
+    ) {
+        let cfg = BopsConfig { levels, ratio, threads: 1 };
+        // The finest cell coordinate must fit a u32.
+        if cfg.fallback::<2>().is_err() {
+            return Ok(());
+        }
+        assert_cross_matches(&a2, &b2, cfg);
+        assert_self_matches(&a2, cfg);
+        assert_cross_matches(&a8, &b8, cfg);
+        assert_self_matches(&a8, cfg);
+        assert_cross_matches(&a16, &b16, cfg);
+        assert_self_matches(&a16, cfg);
+    }
+
     /// Heavy duplication — many identical points — stresses run-length
     /// scans (long equal-key runs) and occupancy counts far above 1.
     #[test]
@@ -218,6 +241,38 @@ fn engines_agree_on_degenerate_grids() {
 #[test]
 fn engines_agree_16d_gentle() {
     let a = sjpl_datagen::manifold::eigenfaces_like(1 << 16, 3);
+    assert_self_matches(&a, BopsConfig::high_dimensional());
+}
+
+/// Grids too fine for a slot table (over 65 535 distinct cell bounds)
+/// quantize every level by division: 2-d at ratio 0.7 × 30 levels, and
+/// 16-d dyadic(17).
+#[test]
+fn engines_agree_without_a_slot_table() {
+    let a = clustered(1 << 12, 47);
+    let b = sharing(&a, 48);
+    let cfg = BopsConfig {
+        levels: 30,
+        ratio: 0.7,
+        threads: 1,
+    };
+    assert_cross_matches(&a, &b, cfg);
+    assert_self_matches(&a, cfg);
+    let hd = sjpl_datagen::manifold::eigenfaces_like(2_000, 5);
+    assert_self_matches(&hd, BopsConfig::dyadic(17));
+}
+
+/// At the benchmark's sizes, the 16-d eigenfaces law (5·10⁴ points,
+/// `high_dimensional()`) and a 2-d gentle cross join of 10⁵ × 10⁵ points
+/// equal the division oracle bit for bit. Slow in a debug build; run it
+/// with `cargo test --release -p sjpl-core --test bops_engines -- --ignored`.
+#[test]
+#[ignore]
+fn per_level_matches_the_division_oracle_at_scale() {
+    let ef = sjpl_datagen::manifold::eigenfaces_like(50_000, 1);
+    assert_self_matches(&ef, BopsConfig::high_dimensional());
+    let (a, b) = sjpl_datagen::galaxy::correlated_pair(100_000, 100_000, 11);
+    assert_cross_matches(&a, &b, BopsConfig::high_dimensional());
     assert_self_matches(&a, BopsConfig::high_dimensional());
 }
 
