@@ -230,14 +230,14 @@ fn previous_means(path: &str) -> std::collections::HashMap<String, f64> {
 }
 
 /// Estimator accuracy on fixed datasets and radii: BOPS-backed estimates
-/// against exact join counts from the partitioned parallel plane sweep
-/// (each dataset sorted once via `SortedByAxis`, reused across all radii),
-/// recorded through the estimator's own telemetry path so
-/// `BENCH_bops.json` and the snapshot schema agree.
+/// against exact join counts (each dataset prepared once via
+/// `PreparedSet`, reused across all radii), recorded through the
+/// estimator's own telemetry path so `BENCH_bops.json` and the snapshot
+/// schema agree.
 fn accuracy_records() -> Vec<sjpl_obs::Accuracy> {
     use sjpl_core::{EstimationMethod, SelectivityEstimator};
     use sjpl_geom::Metric;
-    use sjpl_index::{par_sweep_join_count_sorted, par_sweep_self_join_count_sorted, SortedByAxis};
+    use sjpl_index::PreparedSet;
 
     const RADII: [f64; 3] = [0.02, 0.05, 0.1];
     sjpl_obs::reset();
@@ -249,9 +249,9 @@ fn accuracy_records() -> Vec<sjpl_obs::Accuracy> {
         let est =
             SelectivityEstimator::from_self(set, EstimationMethod::Bops(BopsConfig::default()))
                 .expect("fit self-join law");
-        let sorted = SortedByAxis::new(set.points());
+        let prepared = PreparedSet::new(set.points());
         for r in RADII {
-            let truth = par_sweep_self_join_count_sorted(&sorted, r, Metric::Linf, 0) as f64;
+            let truth = prepared.self_count(r, Metric::Linf, 0) as f64;
             est.estimate_pair_count_observed(name, r, Some(truth));
         }
     }
@@ -259,12 +259,9 @@ fn accuracy_records() -> Vec<sjpl_obs::Accuracy> {
     let est =
         SelectivityEstimator::from_cross(&ga, &gb, EstimationMethod::Bops(BopsConfig::default()))
             .expect("fit cross-join law");
-    let (sa, sb) = (
-        SortedByAxis::new(ga.points()),
-        SortedByAxis::new(gb.points()),
-    );
+    let (pa, pb) = (PreparedSet::new(ga.points()), PreparedSet::new(gb.points()));
     for r in RADII {
-        let truth = par_sweep_join_count_sorted(&sa, &sb, r, Metric::Linf, 0) as f64;
+        let truth = pa.cross_count(&pb, r, Metric::Linf, 0) as f64;
         est.estimate_pair_count_observed("galaxy-20k", r, Some(truth));
     }
 

@@ -3,7 +3,7 @@
 //! true values computed by exact join machinery.
 
 use sjpl_geom::Metric;
-use sjpl_index::KdTree;
+use sjpl_index::PreparedSet;
 
 use crate::data::Workbench;
 use crate::experiments::pc_cross_law;
@@ -12,17 +12,16 @@ use crate::report::Report;
 /// True distance of the c-th closest cross pair, by collecting the c
 /// smallest distances (exact; fine at bench scale).
 fn true_rc(a: &sjpl_geom::PointSet<2>, b: &sjpl_geom::PointSet<2>, cs: &[u64]) -> Vec<f64> {
-    // Binary-search the radius at which the exact count reaches c, using
-    // the dual-tree counter — O(log) joins instead of a full sort of N·M
+    // Binary-search the radius at which the exact count reaches c, with
+    // both sets prepared once — O(log) joins instead of a full sort of N·M
     // distances.
-    let ta = KdTree::build(a.points());
-    let tb = KdTree::build(b.points());
+    let (pa, pb) = (PreparedSet::new(a.points()), PreparedSet::new(b.points()));
     cs.iter()
         .map(|&c| {
             let (mut lo, mut hi) = (0.0f64, 2.0f64);
             for _ in 0..60 {
                 let mid = 0.5 * (lo + hi);
-                if ta.join_count(&tb, mid, Metric::Linf) >= c {
+                if pa.cross_count(&pb, mid, Metric::Linf, 0) >= c {
                     hi = mid;
                 } else {
                     lo = mid;

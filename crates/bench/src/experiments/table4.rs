@@ -6,7 +6,7 @@ use sjpl_core::{
     PairCountLaw, PcPlotConfig,
 };
 use sjpl_geom::{Metric, PointSet};
-use sjpl_index::{pair_count, self_pair_count, JoinAlgorithm};
+use sjpl_index::PreparedSet;
 use sjpl_stats::error::geometric_avg_relative_error;
 
 use crate::data::Workbench;
@@ -39,15 +39,8 @@ fn cross_errors(a: &PointSet<2>, b: &PointSet<2>) -> (f64, f64) {
         .expect("bops")
         .fit(&opts)
         .expect("fit");
-    let exact = |r: f64| {
-        pair_count(
-            JoinAlgorithm::KdTree,
-            a.points(),
-            b.points(),
-            r,
-            Metric::Linf,
-        )
-    };
+    let (pa, pb) = (PreparedSet::new(a.points()), PreparedSet::new(b.points()));
+    let exact = |r: f64| pa.cross_count(&pb, r, Metric::Linf, 0);
     (law_error(&pc, exact), law_error(&bops, exact))
 }
 
@@ -61,7 +54,8 @@ fn self_errors(a: &PointSet<2>) -> (f64, f64) {
         .expect("bops")
         .fit(&opts)
         .expect("fit");
-    let exact = |r: f64| self_pair_count(JoinAlgorithm::ParSweep, a.points(), r, Metric::Linf);
+    let prepared = PreparedSet::new(a.points());
+    let exact = |r: f64| prepared.self_count(r, Metric::Linf, 0);
     (law_error(&pc, exact), law_error(&bops, exact))
 }
 

@@ -35,7 +35,6 @@ pub struct Options {
     pub threads: Option<usize>,
     pub method: Option<&'static str>,
     pub algo: Option<JoinAlgorithm>,
-    pub k: Option<usize>,
     pub trace: Option<TraceFormat>,
     pub obs_out: Option<String>,
     pub trace_out: Option<String>,
@@ -144,13 +143,9 @@ pub const FLAGS: &[Flag] = &[
     },
     Flag {
         syntax: "--algo <a>",
-        help: "join algorithm: nested-loop | kd-tree | plane-sweep | par-sweep [default par-sweep]",
+        help: "force a join engine: nested-loop | kd-tree | plane-sweep | par-sweep [default: \
+               chosen by dimension, par-sweep up to 2-d and kd-tree above]",
         set: |o, v| put(&mut o.algo, join_algorithm(v)),
-    },
-    Flag {
-        syntax: "-k <n>",
-        help: "neighbor count, >= 1 [default 1]",
-        set: |o, v| put(&mut o.k, at_least_one(v, "k")),
     },
     Flag {
         syntax: "--trace[=json|pretty]",
@@ -708,7 +703,6 @@ mod tests {
             &["--radius", "inf"],
             &["--true-pc", "-1"],
             &["--true-pc", "nan"],
-            &["-k", "0"],
         ] {
             assert!(parse(&sv(bad)).is_err(), "{bad:?}");
         }

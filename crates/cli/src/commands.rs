@@ -8,9 +8,7 @@ use sjpl_core::{
     FitOptions, PairCountLaw, PcPlotConfig, SelectivityEstimator,
 };
 use sjpl_geom::{read_csv, write_csv, Metric, PointSet};
-use sjpl_index::{
-    pair_count, par_sweep_join_count, par_sweep_self_join_count, self_pair_count, JoinAlgorithm,
-};
+use sjpl_index::{JoinAlgorithm, PreparedSet};
 
 use crate::args::{parse, Options, TraceFormat, FLAGS};
 use crate::error::CliError;
@@ -124,12 +122,6 @@ const COMMANDS: &[Command] = &[
         help: "fixed-rate sample of a dataset",
         flags: "",
         run: |o| Ok(by_dim!(dataset_dim(&o.positional)?, cmd_sample(o))?),
-    },
-    Command {
-        usage: "knn <a.csv> <x,y,...> -k <k>",
-        help: "k nearest neighbors of a query point",
-        flags: "-k --metric",
-        run: |o| Ok(by_dim!(dataset_dim(&o.positional)?, cmd_knn(o))?),
     },
     Command {
         usage: "catalog-add <cat.tsv> <name> <a.csv> [b.csv]",
@@ -855,30 +847,30 @@ fn cmd_estimate<const D: usize>(o: &Options) -> Result<(), String> {
 }
 
 fn cmd_join<const D: usize>(o: &Options) -> Result<(), String> {
+    let algo = o.algo.unwrap_or(JoinAlgorithm::planned(D));
+    if o.threads.is_some() && !algo.threaded() {
+        let why = match o.algo {
+            Some(_) => "forced by --algo".to_owned(),
+            None => format!("the planner's engine for {D}-d data"),
+        };
+        return Err(format!(
+            "join takes no --threads with {} ({why}): only par-sweep runs on threads",
+            algo.name()
+        ));
+    }
     let (a, b) = load_sets::<D>(&o.positional)?;
     let r = o.radius.ok_or("join needs --radius")?;
-    let algo = o.algo.unwrap_or(JoinAlgorithm::ParSweep);
-    let t0 = std::time::Instant::now();
-    // Par-sweep is the one algorithm with a thread knob: route `--threads`
-    // to it directly so the dispatch enum (which uses auto threads)
-    // doesn't swallow the flag.
     let threads = o.threads.unwrap_or(0);
     let metric = o.metric.unwrap_or(Metric::Linf);
+    let t0 = std::time::Instant::now();
+    let pa = PreparedSet::with(algo, a.points());
     let (count, denom) = match &b {
         Some(b) => (
-            if algo == JoinAlgorithm::ParSweep {
-                par_sweep_join_count(a.points(), b.points(), r, metric, threads)
-            } else {
-                pair_count(algo, a.points(), b.points(), r, metric)
-            },
+            pa.cross_count(&PreparedSet::with(algo, b.points()), r, metric, threads),
             a.len() as f64 * b.len() as f64,
         ),
         None => (
-            if algo == JoinAlgorithm::ParSweep {
-                par_sweep_self_join_count(a.points(), r, metric, threads)
-            } else {
-                self_pair_count(algo, a.points(), r, metric)
-            },
+            pa.self_count(r, metric, threads),
             a.len() as f64 * (a.len() as f64 - 1.0) / 2.0,
         ),
     };
@@ -960,39 +952,6 @@ fn cmd_sample<const D: usize>(o: &Options) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_knn<const D: usize>(o: &Options) -> Result<(), String> {
-    use sjpl_index::KdTree;
-    let [input, query] = o.positional.as_slice() else {
-        return Err("knn needs: <a.csv> <x,y,...> [-k n]".to_owned());
-    };
-    let set: PointSet<D> = read_csv(input).map_err(|e| format!("{input}: {e}"))?;
-    let fields: Vec<&str> = query.split(',').collect();
-    if fields.len() != D {
-        return Err(format!(
-            "query point has {} coordinates; dataset is {D}-dimensional",
-            fields.len()
-        ));
-    }
-    let mut coords = [0.0f64; D];
-    for (c, f) in coords.iter_mut().zip(fields.iter()) {
-        *c = f
-            .trim()
-            .parse()
-            .map_err(|_| format!("bad coordinate {f:?}"))?;
-    }
-    let q = sjpl_geom::Point::new(coords);
-    let metric = o.metric.unwrap_or(Metric::Linf);
-    let k = o.k.unwrap_or(1);
-    let tree = KdTree::build(set.points());
-    let hits = tree.nearest_k(&q, k, metric);
-    println!("# rank, distance, point");
-    for (rank, (d, p)) in hits.iter().enumerate() {
-        let coords: Vec<String> = (0..D).map(|i| format!("{}", p[i])).collect();
-        println!("{}, {d:.6e}, ({})", rank + 1, coords.join(", "));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1063,6 +1022,79 @@ mod tests {
                     .contains("nested-loop, kd-tree, plane-sweep, par-sweep"),
                 "{e}"
             );
+        }
+    }
+
+    #[test]
+    fn join_rejects_threads_for_an_engine_that_runs_on_one() {
+        let _obs = crate::obs_lock();
+        let dir = tmpdir("join_rejects_threads_for_an_engine_that_runs_on_one");
+        let (flat, faces) = (dir.join("u.csv"), dir.join("ef.csv"));
+        let (flat, faces) = (flat.to_str().unwrap(), faces.to_str().unwrap());
+        run(&sv(&["generate", "uniform", "300", "1", flat])).unwrap();
+        run(&sv(&["generate", "eigenfaces", "300", "1", faces])).unwrap();
+        for name in ["nested-loop", "kd-tree", "plane-sweep"] {
+            let e = run(&sv(&[
+                "join",
+                flat,
+                "-r",
+                "0.05",
+                "--algo",
+                name,
+                "--threads",
+                "1",
+            ]))
+            .unwrap_err();
+            assert_eq!(e.code, 1, "{e}");
+            assert!(
+                e.message.contains(&format!("{name} (forced by --algo)")),
+                "{e}"
+            );
+        }
+        let e = run(&sv(&["join", faces, "-r", "0.5", "--threads", "2"])).unwrap_err();
+        assert!(
+            e.message
+                .contains("kd-tree (the planner's engine for 16-d data)"),
+            "{e}"
+        );
+        run(&sv(&["join", flat, "-r", "0.05", "--threads", "2"])).unwrap();
+        run(&sv(&[
+            "join",
+            flat,
+            "-r",
+            "0.05",
+            "--algo",
+            "par-sweep",
+            "--threads",
+            "1",
+        ]))
+        .unwrap();
+        run(&sv(&["join", faces, "-r", "0.5"])).unwrap();
+    }
+
+    #[test]
+    fn non_finite_coordinates_fail_every_command_with_the_row() {
+        let _obs = crate::obs_lock();
+        let dir = tmpdir("non_finite_coordinates_fail_every_command_with_the_row");
+        for (field, row) in [("inf", 3), ("nan", 2)] {
+            let p = dir.join(format!("{field}.csv"));
+            let text = if row == 3 {
+                format!("0.1,0.5\n0.2,0.5\n{field},0.5\n{field},0.5\n")
+            } else {
+                format!("0.1,0.5\n{field},0.5\n0.2,0.5\n{field},0.5\n")
+            };
+            std::fs::write(&p, text).unwrap();
+            let p = p.to_str().unwrap();
+            for argv in [
+                &["join", p, "-r", "0.5"][..],
+                &["join", p, "-r", "0.5", "--algo", "nested-loop"],
+                &["estimate", p, "-r", "0.5"],
+            ] {
+                let e = run(&sv(argv)).unwrap_err();
+                assert_eq!(e.code, 1, "{argv:?}: {e}");
+                let want = format!("line {row}: coordinate \"{field}\" is not finite");
+                assert!(e.message.contains(&want), "{argv:?}: {e}");
+            }
         }
     }
 
@@ -1248,7 +1280,6 @@ mod tests {
         assert_eq!(cmd("bops").max_args(), Some(2));
         assert_eq!(cmd("estimate").max_args(), Some(2));
         assert_eq!(cmd("catalog-add").max_args(), Some(4));
-        assert_eq!(cmd("knn").max_args(), Some(2));
         assert_eq!(cmd("serve").max_args(), None);
         for c in COMMANDS {
             let Some(n) = c.max_args() else { continue };
@@ -2045,20 +2076,6 @@ mod tests {
             sub.to_str().unwrap()
         ]))
         .is_err());
-    }
-
-    #[test]
-    fn knn_command_works() {
-        let _obs = crate::obs_lock();
-        let dir = tmpdir("knn_command_works");
-        let p = dir.join("pts.csv");
-        std::fs::write(&p, "0,0\n1,0\n0,1\n5,5\n").unwrap();
-        run(&sv(&["knn", p.to_str().unwrap(), "0.1,0.1", "-k", "2"])).unwrap();
-        // Wrong arity in the query point.
-        assert!(run(&sv(&["knn", p.to_str().unwrap(), "0.1", "-k", "2"])).is_err());
-        assert!(run(&sv(&["knn", p.to_str().unwrap(), "a,b"])).is_err());
-        let e = run(&sv(&["knn", p.to_str().unwrap(), "0.1,0.1", "-k", "0"])).unwrap_err();
-        assert!(e.message.contains("k must be >= 1"), "{e}");
     }
 
     #[test]

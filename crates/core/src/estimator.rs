@@ -243,12 +243,13 @@ mod tests {
     use super::*;
     use sjpl_datagen::uniform;
     use sjpl_geom::Metric;
-    use sjpl_index::{pair_count, JoinAlgorithm};
+    use sjpl_index::PreparedSet;
 
     #[test]
     fn both_methods_estimate_uniform_cross_join_well() {
         let a = uniform::unit_cube::<2>(3_000, 1);
         let b = uniform::unit_cube::<2>(3_000, 2);
+        let (pa, pb) = (PreparedSet::new(a.points()), PreparedSet::new(b.points()));
         for method in [
             EstimationMethod::ExactPcPlot(PcPlotConfig::default()),
             EstimationMethod::Bops(BopsConfig::default()),
@@ -256,13 +257,7 @@ mod tests {
             let est = SelectivityEstimator::from_cross(&a, &b, method).unwrap();
             // Mid-range radius: compare against exact count.
             let r = 0.05;
-            let exact = pair_count(
-                JoinAlgorithm::KdTree,
-                a.points(),
-                b.points(),
-                r,
-                Metric::Linf,
-            ) as f64;
+            let exact = pa.cross_count(&pb, r, Metric::Linf, 0) as f64;
             let got = est.estimate_pair_count(r);
             let rel = (got - exact).abs() / exact;
             assert!(

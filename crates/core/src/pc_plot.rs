@@ -241,7 +241,7 @@ pub fn pc_plot_self<const D: usize>(
 mod tests {
     use super::*;
     use sjpl_geom::Point;
-    use sjpl_index::{pair_count, self_pair_count, JoinAlgorithm};
+    use sjpl_index::PreparedSet;
 
     fn uniform(n: usize, seed: u64) -> PointSet<2> {
         sjpl_datagen::uniform::unit_cube::<2>(n, seed)
@@ -257,14 +257,9 @@ mod tests {
             ..Default::default()
         };
         let plot = pc_plot_cross(&a, &b, &cfg).unwrap();
+        let (pa, pb) = (PreparedSet::new(a.points()), PreparedSet::new(b.points()));
         for (&r, &c) in plot.radii().iter().zip(plot.counts().iter()) {
-            let exact = pair_count(
-                JoinAlgorithm::KdTree,
-                a.points(),
-                b.points(),
-                r,
-                Metric::Linf,
-            );
+            let exact = pa.cross_count(&pb, r, Metric::Linf, 0);
             // Bin-edge float fuzz can shift pairs whose distance equals an
             // edge; allow a relative sliver.
             let diff = (c as i64 - exact as i64).unsigned_abs();
@@ -282,8 +277,9 @@ mod tests {
         };
         let plot = pc_plot_self(&a, &cfg).unwrap();
         assert_eq!(plot.kind(), JoinKind::SelfJoin);
+        let prepared = PreparedSet::new(a.points());
         for (&r, &c) in plot.radii().iter().zip(plot.counts().iter()) {
-            let exact = self_pair_count(JoinAlgorithm::ParSweep, a.points(), r, Metric::Linf);
+            let exact = prepared.self_count(r, Metric::Linf, 0);
             let diff = (c as i64 - exact as i64).unsigned_abs();
             assert!(diff <= 1 + exact / 1000, "r={r}: {c} vs {exact}");
         }

@@ -15,6 +15,13 @@ pub enum GeomError {
         /// The raw field text.
         field: String,
     },
+    /// A CSV field parsed to NaN or an infinity.
+    NonFinite {
+        /// 1-based line number of the offending record.
+        line: usize,
+        /// The raw field text.
+        field: String,
+    },
     /// A CSV record had the wrong number of fields.
     Arity {
         /// 1-based line number of the offending record.
@@ -39,6 +46,9 @@ impl fmt::Display for GeomError {
             GeomError::Io(e) => write!(f, "I/O error: {e}"),
             GeomError::Parse { line, field } => {
                 write!(f, "line {line}: cannot parse {field:?} as a number")
+            }
+            GeomError::NonFinite { line, field } => {
+                write!(f, "line {line}: coordinate {field:?} is not finite")
             }
             GeomError::Arity {
                 line,

@@ -2,7 +2,8 @@
 //!
 //! The format is one point per line, `D` comma-separated floating-point
 //! fields, optional `#`-prefixed comment lines and one optional non-numeric
-//! header line. This is deliberately small: the workspace's datasets are
+//! header line. A `nan` or `inf` field is an error: no distance to such a
+//! point is defined. This is deliberately small: the workspace's datasets are
 //! synthetic, and real users can export from any GIS tool in this form.
 
 use std::fs::File;
@@ -52,10 +53,17 @@ pub fn read_csv_reader<const D: usize, R: Read>(reader: R) -> Result<PointSet<D>
         }
         let mut coords = [0.0; D];
         for (c, f) in coords.iter_mut().zip(fields.iter()) {
+            let field = || (*f).to_owned();
             *c = f.parse::<f64>().map_err(|_| GeomError::Parse {
                 line: line_no,
-                field: (*f).to_owned(),
+                field: field(),
             })?;
+            if !c.is_finite() {
+                return Err(GeomError::NonFinite {
+                    line: line_no,
+                    field: field(),
+                });
+            }
         }
         points.push(Point(coords));
     }
@@ -129,6 +137,19 @@ mod tests {
                 assert_eq!((line, found, expected), (2, 3, 2));
             }
             other => panic!("unexpected error {other:?}"),
+        }
+    }
+
+    #[test]
+    fn non_finite_coordinates_are_rejected_with_the_row() {
+        for field in ["nan", "inf", "-inf", "NaN", "infinity"] {
+            let text = format!("x,y\n0.5,0.5\n{field},0.5\n");
+            let err = read_csv_reader::<2, _>(text.as_bytes()).unwrap_err();
+            assert!(
+                matches!(&err, GeomError::NonFinite { line: 3, field: f } if f == field),
+                "{field}: {err:?}"
+            );
+            assert!(err.to_string().contains("line 3"), "{err}");
         }
     }
 

@@ -71,17 +71,6 @@ impl Metric {
         }
     }
 
-    /// Maps a ranking distance back to a true distance (inverse of
-    /// [`Metric::rdist_threshold`]).
-    #[inline]
-    pub fn rdist_to_dist(&self, rd: f64) -> f64 {
-        match *self {
-            Metric::L1 | Metric::Linf => rd,
-            Metric::L2 => rd.sqrt(),
-            Metric::Lp(p) => rd.powf(1.0 / p),
-        }
-    }
-
     /// Human-readable name, used in plot legends and CLI output.
     pub fn name(&self) -> String {
         match *self {
@@ -174,26 +163,12 @@ mod tests {
     }
 
     #[test]
-    fn rdist_threshold_roundtrip() {
-        for m in [Metric::L1, Metric::L2, Metric::Linf, Metric::Lp(3.0)] {
-            for r in [0.0, 0.1, 1.0, 7.5] {
-                let rt = m.rdist_threshold(r);
-                assert!(
-                    (m.rdist_to_dist(rt) - r).abs() < 1e-12,
-                    "roundtrip failed for {m:?} at r={r}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn rdist_is_consistent_with_dist() {
         let a = Point([0.2, 0.9, -1.0, 3.0]);
         let b = Point([1.2, 0.4, 0.0, 2.0]);
         for m in [Metric::L1, Metric::L2, Metric::Linf, Metric::Lp(1.5)] {
             let d = m.dist(&a, &b);
             let rd = m.rdist(&a, &b);
-            assert!((m.rdist_to_dist(rd) - d).abs() < 1e-12);
             // The defining property: thresholding is equivalent.
             let r = d + 1e-9;
             assert!(rd <= m.rdist_threshold(r));

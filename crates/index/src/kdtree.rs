@@ -106,132 +106,6 @@ impl<const D: usize> KdTree<D> {
         self.range_count_rec(n.left, q, r, metric) + self.range_count_rec(n.right, q, r, metric)
     }
 
-    /// The `k` nearest indexed points to `q` (including any indexed point
-    /// equal to `q`), as `(distance, point)` pairs sorted by ascending
-    /// distance. Returns fewer than `k` when the tree is smaller.
-    ///
-    /// Classic branch-and-bound: a max-heap of the best `k` so far prunes
-    /// nodes whose `min_dist` exceeds the current k-th distance. This is
-    /// what Equation 12's `r_c` extrapolation is validated against.
-    pub fn nearest_k(&self, q: &Point<D>, k: usize, metric: Metric) -> Vec<(f64, Point<D>)> {
-        if self.root == NO_CHILD || k == 0 {
-            return Vec::new();
-        }
-        // Max-heap on ranking distance (cheaper); convert at the end.
-        let mut heap: std::collections::BinaryHeap<HeapEntry<D>> =
-            std::collections::BinaryHeap::new();
-        self.nearest_rec(self.root, q, k, metric, &mut heap);
-        let mut out: Vec<(f64, Point<D>)> = heap
-            .into_sorted_vec()
-            .into_iter()
-            .map(|e| (metric.rdist_to_dist(e.rdist), e.point))
-            .collect();
-        // into_sorted_vec gives ascending order already (Ord on rdist).
-        out.truncate(k);
-        out
-    }
-
-    fn nearest_rec(
-        &self,
-        node: u32,
-        q: &Point<D>,
-        k: usize,
-        metric: Metric,
-        heap: &mut std::collections::BinaryHeap<HeapEntry<D>>,
-    ) {
-        let n = &self.nodes[node as usize];
-        if heap.len() == k {
-            let worst = heap.peek().expect("non-empty at len == k").rdist;
-            if metric.rdist_threshold(n.bbox.min_dist(q, metric)) > worst {
-                return;
-            }
-        }
-        if n.is_leaf() {
-            for p in &self.points[n.start as usize..n.end as usize] {
-                let rdist = metric.rdist(p, q);
-                if heap.len() < k {
-                    heap.push(HeapEntry { rdist, point: *p });
-                } else if rdist < heap.peek().expect("len == k").rdist {
-                    heap.pop();
-                    heap.push(HeapEntry { rdist, point: *p });
-                }
-            }
-            return;
-        }
-        // Visit the closer child first so the heap tightens quickly.
-        let (l, r) = (n.left, n.right);
-        let dl = self.nodes[l as usize].bbox.min_dist(q, metric);
-        let dr = self.nodes[r as usize].bbox.min_dist(q, metric);
-        if dl <= dr {
-            self.nearest_rec(l, q, k, metric, heap);
-            self.nearest_rec(r, q, k, metric, heap);
-        } else {
-            self.nearest_rec(r, q, k, metric, heap);
-            self.nearest_rec(l, q, k, metric, heap);
-        }
-    }
-
-    /// Dual-tree cross join that *enumerates* the qualifying pairs instead
-    /// of counting them: `visit(a, b)` is called once per ordered pair with
-    /// `dist(a, b) ≤ r`. Enumeration order is unspecified.
-    pub fn join_for_each(
-        &self,
-        other: &KdTree<D>,
-        r: f64,
-        metric: Metric,
-        visit: &mut impl FnMut(&Point<D>, &Point<D>),
-    ) {
-        if self.root == NO_CHILD || other.root == NO_CHILD || r < 0.0 {
-            return;
-        }
-        self.join_each_rec(self.root, other, other.root, r, metric, visit);
-    }
-
-    fn join_each_rec(
-        &self,
-        u: u32,
-        other: &KdTree<D>,
-        v: u32,
-        r: f64,
-        metric: Metric,
-        visit: &mut impl FnMut(&Point<D>, &Point<D>),
-    ) {
-        let nu = &self.nodes[u as usize];
-        let nv = &other.nodes[v as usize];
-        if nu.bbox.min_dist_box(&nv.bbox, metric) > r {
-            return;
-        }
-        match (nu.is_leaf(), nv.is_leaf()) {
-            (true, true) => {
-                let thresh = metric.rdist_threshold(r);
-                for pa in &self.points[nu.start as usize..nu.end as usize] {
-                    for pb in &other.points[nv.start as usize..nv.end as usize] {
-                        if metric.rdist(pa, pb) <= thresh {
-                            visit(pa, pb);
-                        }
-                    }
-                }
-            }
-            (true, false) => {
-                self.join_each_rec(u, other, nv.left, r, metric, visit);
-                self.join_each_rec(u, other, nv.right, r, metric, visit);
-            }
-            (false, true) => {
-                self.join_each_rec(nu.left, other, v, r, metric, visit);
-                self.join_each_rec(nu.right, other, v, r, metric, visit);
-            }
-            (false, false) => {
-                if nu.len() >= nv.len() {
-                    self.join_each_rec(nu.left, other, v, r, metric, visit);
-                    self.join_each_rec(nu.right, other, v, r, metric, visit);
-                } else {
-                    self.join_each_rec(u, other, nv.left, r, metric, visit);
-                    self.join_each_rec(u, other, nv.right, r, metric, visit);
-                }
-            }
-        }
-    }
-
     /// Dual-tree cross join: counts ordered pairs `(a, b)` with `a` from
     /// `self`, `b` from `other`, and `dist(a, b) ≤ r`.
     pub fn join_count(&self, other: &KdTree<D>, r: f64, metric: Metric) -> u64 {
@@ -378,32 +252,6 @@ impl<const D: usize> KdTree<D> {
                 }
             }
         }
-    }
-}
-
-/// Heap entry for [`KdTree::nearest_k`]: ordered by ranking distance so the
-/// max-heap exposes the current worst of the best-k.
-struct HeapEntry<const D: usize> {
-    rdist: f64,
-    point: Point<D>,
-}
-
-impl<const D: usize> PartialEq for HeapEntry<D> {
-    fn eq(&self, other: &Self) -> bool {
-        self.rdist == other.rdist
-    }
-}
-impl<const D: usize> Eq for HeapEntry<D> {}
-impl<const D: usize> PartialOrd for HeapEntry<D> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<const D: usize> Ord for HeapEntry<D> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.rdist
-            .partial_cmp(&other.rdist)
-            .expect("distances are never NaN")
     }
 }
 
@@ -561,64 +409,6 @@ mod tests {
         let tb = KdTree::build(&b);
         assert_eq!(ta.join_count(&tb, 10.0, Metric::Linf), 100 * 80);
         assert_eq!(ta.self_join_count(10.0, Metric::Linf), 100 * 99 / 2);
-    }
-
-    #[test]
-    fn nearest_k_matches_brute_force() {
-        let pts = random_points(400, 11);
-        let tree = KdTree::build(&pts);
-        let mut rng = StdRng::seed_from_u64(12);
-        for _ in 0..20 {
-            let q = Point([rng.gen(), rng.gen(), rng.gen()]);
-            for m in [Metric::L1, Metric::L2, Metric::Linf] {
-                for k in [1usize, 5, 17] {
-                    let got = tree.nearest_k(&q, k, m);
-                    let mut brute: Vec<f64> = pts.iter().map(|p| m.dist(p, &q)).collect();
-                    brute.sort_by(|a, b| a.partial_cmp(b).unwrap());
-                    assert_eq!(got.len(), k);
-                    for (i, (d, p)) in got.iter().enumerate() {
-                        assert!(
-                            (d - brute[i]).abs() < 1e-9,
-                            "k={k} m={m:?} rank {i}: {d} vs {}",
-                            brute[i]
-                        );
-                        assert!((m.dist(p, &q) - d).abs() < 1e-9);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn nearest_k_edge_cases() {
-        let pts = random_points(10, 13);
-        let tree = KdTree::build(&pts);
-        let q = Point([0.5; 3]);
-        assert!(tree.nearest_k(&q, 0, Metric::L2).is_empty());
-        assert_eq!(tree.nearest_k(&q, 100, Metric::L2).len(), 10);
-        let empty = KdTree::<3>::build(&[]);
-        assert!(empty.nearest_k(&q, 3, Metric::L2).is_empty());
-    }
-
-    #[test]
-    fn join_for_each_enumerates_exactly_the_counted_pairs() {
-        let a = random_points(150, 14);
-        let b = random_points(120, 15);
-        let ta = KdTree::build(&a);
-        let tb = KdTree::build(&b);
-        for r in [0.05, 0.3] {
-            let mut seen = Vec::new();
-            ta.join_for_each(&tb, r, Metric::L2, &mut |pa, pb| {
-                assert!(Metric::L2.dist(pa, pb) <= r + 1e-12);
-                seen.push((pa.coords(), pb.coords()));
-            });
-            assert_eq!(seen.len() as u64, ta.join_count(&tb, r, Metric::L2));
-            // No duplicates.
-            seen.sort_by(|x, y| x.partial_cmp(y).unwrap());
-            let before = seen.len();
-            seen.dedup();
-            assert_eq!(seen.len(), before, "duplicate pairs emitted");
-        }
     }
 
     #[test]

@@ -8,18 +8,20 @@
 //! * [`histogram`] — the quadratic pair-distance histogram: one O(N·M) pass
 //!   (optionally multi-threaded) yields `PC(r)` at every radius at once.
 //!   This is the paper's "PC-plot method" and the baseline for Table 5.
-//! * [`kdtree`] — a bulk-built kd-tree with range counting, kNN and a
+//! * [`kdtree`] — a bulk-built kd-tree with range counting and a
 //!   dual-tree distance-join counter; the engine for high dimensions, where
-//!   an axis sweep prunes nothing.
+//!   an axis sweep prunes too little.
 //! * [`sweep`] — a plane-sweep distance join for low dimensions, exposing
 //!   the per-partition forward-sweep kernels and the [`SortedByAxis`]
 //!   sort-once wrapper.
 //! * [`partition`] — the partitioned *parallel* plane sweep (rank-striped
 //!   slabs, boundary-band replication with dedup-by-ownership, an axis-1
-//!   strip sweep inside each slab): the default exact-truth engine for
-//!   the accuracy pipeline.
-//! * [`join`] — one entry point over the nested-loop oracle and the three
-//!   engines above, used by the agreement tests and the benchmarks.
+//!   strip sweep inside each slab): the engine for one and two dimensions.
+//! * [`join`] — the one entry point: [`PreparedSet`] prepares a point set
+//!   once and counts at any radius, on the engine
+//!   [`JoinAlgorithm::planned`] picks from the dimension (par-sweep up to
+//!   2-d, kd-tree above) or on a forced one, the nested-loop oracle
+//!   included.
 //! * [`morton`] — the [`MortonKey`] interleaving trait behind sjpl-core's
 //!   BOPS keys on the paper's dyadic grid schedule.
 //! * [`par`] — the parallel primitives every kernel above and sjpl-core's
@@ -48,7 +50,7 @@ pub mod par;
 pub mod partition;
 pub mod sweep;
 
-pub use join::{pair_count, self_pair_count, JoinAlgorithm};
+pub use join::{pair_count, self_pair_count, JoinAlgorithm, PreparedSet};
 pub use kdtree::KdTree;
 pub use morton::MortonKey;
 pub use par::par_sort_keys;

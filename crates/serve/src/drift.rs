@@ -26,13 +26,13 @@ use std::time::Duration;
 
 use sjpl_core::LawCatalog;
 use sjpl_geom::{Metric, Point};
-use sjpl_index::{par_sweep_self_join_count_sorted, SortedByAxis};
+use sjpl_index::PreparedSet;
 
 /// Ground truth for one catalog law: a set of probe radii and an oracle
 /// returning the true pair count at each. The oracle is typically a
 /// closure over a fixed sample of the dataset — build it with
-/// [`DriftProbe::exact_sample`], which sorts the sample once and answers
-/// every tick's radii with the partitioned parallel plane sweep.
+/// [`DriftProbe::exact_sample`], which prepares the sample once and answers
+/// every tick's radii with an exact count.
 pub struct DriftProbe {
     /// Catalog key of the law under watch.
     pub law_name: String,
@@ -47,9 +47,9 @@ impl DriftProbe {
     /// power-law slope survives sampling). Takes an exact self-join over
     /// `sample` as truth, scaled by `scale` — for a sample of `s` points
     /// drawn from `n`, pass `(n·(n−1)) / (s·(s−1))` to recover full-set
-    /// pair counts. The sample is sorted **once** here; each tick's radii
-    /// then reuse the sorted array through the partitioned parallel
-    /// plane sweep, so a probe tick costs sweeps, not sorts.
+    /// pair counts. The sample is prepared **once** here (a sort or a
+    /// kd-tree build, as [`PreparedSet`] picks from `D`), so a probe tick
+    /// costs counts, not preparation.
     pub fn exact_sample<const D: usize>(
         law_name: impl Into<String>,
         radii: Vec<f64>,
@@ -57,13 +57,11 @@ impl DriftProbe {
         metric: Metric,
         scale: f64,
     ) -> DriftProbe {
-        let sorted = SortedByAxis::new(sample);
+        let prepared = PreparedSet::new(sample);
         DriftProbe {
             law_name: law_name.into(),
             radii,
-            truth: Arc::new(move |r| {
-                par_sweep_self_join_count_sorted(&sorted, r, metric, 0) as f64 * scale
-            }),
+            truth: Arc::new(move |r| prepared.self_count(r, metric, 0) as f64 * scale),
         }
     }
 }

@@ -17,7 +17,7 @@ use sjpl_core::{
 };
 use sjpl_datagen::{roads, water};
 use sjpl_geom::Metric;
-use sjpl_index::{pair_count, JoinAlgorithm};
+use sjpl_index::PreparedSet;
 
 fn main() {
     let streets = roads::street_network(15_000, 7);
@@ -73,14 +73,12 @@ fn main() {
         "\n{:>9} {:>14} {:>14} {:>14} {:>9} {:>9}",
         "radius", "exact", "PC est", "BOPS est", "PC err", "BOPS err"
     );
+    let (ps, pr) = (
+        PreparedSet::new(streets.points()),
+        PreparedSet::new(rivers.points()),
+    );
     for r in [0.002, 0.005, 0.01, 0.02] {
-        let exact = pair_count(
-            JoinAlgorithm::KdTree,
-            streets.points(),
-            rivers.points(),
-            r,
-            Metric::Linf,
-        ) as f64;
+        let exact = ps.cross_count(&pr, r, Metric::Linf, 0) as f64;
         let pe = pc_law.pair_count(r);
         let be = bops_law.pair_count(r);
         println!(

@@ -13,7 +13,7 @@
 use sjpl_core::{pc_plot_self, FitOptions, PcPlotConfig};
 use sjpl_datagen::{manifold, uniform};
 use sjpl_geom::Metric;
-use sjpl_index::{self_pair_count, JoinAlgorithm};
+use sjpl_index::PreparedSet;
 
 fn main() {
     let faces = manifold::eigenfaces_like(8_000, 99);
@@ -57,9 +57,10 @@ fn main() {
         "\n{:>9} {:>16} {:>16} {:>10}",
         "radius", "exact pairs", "law estimate", "rel err"
     );
+    let prepared = PreparedSet::new(faces.points());
     for i in 0..3 {
         let r = law.fit.x_lo * (law.fit.x_hi / law.fit.x_lo).powf(0.25 + 0.25 * i as f64);
-        let exact = self_pair_count(JoinAlgorithm::KdTree, faces.points(), r, Metric::Linf) as f64;
+        let exact = prepared.self_count(r, Metric::Linf, 0) as f64;
         let est = law.pair_count(r);
         println!(
             "{:>9.4} {:>16.0} {:>16.0} {:>9.1}%",

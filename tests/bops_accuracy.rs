@@ -6,7 +6,7 @@ use sjpl_core::{
 };
 use sjpl_datagen::{boundary, galaxy, roads, uniform, water};
 use sjpl_geom::Metric;
-use sjpl_index::{pair_count, JoinAlgorithm};
+use sjpl_index::PreparedSet;
 
 #[test]
 fn bops_exponent_matches_pc_exponent_within_paper_error() {
@@ -59,16 +59,14 @@ fn bops_value_approximates_pc_at_half_side_mid_range() {
     let plot = bops_plot_cross(&dev, &exp, &BopsConfig::dyadic(10)).unwrap();
     let radii = plot.radii();
     let values = plot.values();
+    let (pd, pe) = (
+        PreparedSet::new(dev.points()),
+        PreparedSet::new(exp.points()),
+    );
     let mut checked = 0;
     for i in 0..radii.len() {
         let r = radii[i];
-        let exact = pair_count(
-            JoinAlgorithm::KdTree,
-            dev.points(),
-            exp.points(),
-            r,
-            Metric::Linf,
-        ) as f64;
+        let exact = pd.cross_count(&pe, r, Metric::Linf, 0) as f64;
         if exact < 500.0 || values[i] < 500.0 {
             continue; // too sparse for the smooth-density assumption
         }
@@ -94,18 +92,16 @@ fn bops_k_constant_is_usable_for_estimation() {
         .unwrap()
         .fit(&FitOptions::default())
         .unwrap();
+    let (ps, pw) = (
+        PreparedSet::new(streets.points()),
+        PreparedSet::new(wat.points()),
+    );
     let mut checked = 0;
     for r in [0.003, 0.01, 0.03] {
         if !law.in_fitted_range(r) {
             continue;
         }
-        let exact = pair_count(
-            JoinAlgorithm::KdTree,
-            streets.points(),
-            wat.points(),
-            r,
-            Metric::Linf,
-        ) as f64;
+        let exact = ps.cross_count(&pw, r, Metric::Linf, 0) as f64;
         if exact < 100.0 {
             continue;
         }

@@ -6,7 +6,7 @@
 use sjpl_core::{BopsConfig, EstimationMethod, PcPlotConfig, SelectivityEstimator};
 use sjpl_datagen::{galaxy, roads, water};
 use sjpl_geom::{Metric, PointSet};
-use sjpl_index::{pair_count, self_pair_count, JoinAlgorithm};
+use sjpl_index::PreparedSet;
 use sjpl_stats::error::geometric_avg_relative_error;
 
 /// Geometric-average relative error of `est` against exact counts over the
@@ -14,16 +14,11 @@ use sjpl_stats::error::geometric_avg_relative_error;
 fn cross_error(est: &SelectivityEstimator, a: &PointSet<2>, b: &PointSet<2>) -> f64 {
     let law = est.law();
     let (lo, hi) = (law.fit.x_lo, law.fit.x_hi);
+    let (pa, pb) = (PreparedSet::new(a.points()), PreparedSet::new(b.points()));
     let mut pairs = Vec::new();
     for i in 0..8 {
         let r = lo * (hi / lo).powf(i as f64 / 7.0);
-        let exact = pair_count(
-            JoinAlgorithm::KdTree,
-            a.points(),
-            b.points(),
-            r,
-            Metric::Linf,
-        );
+        let exact = pa.cross_count(&pb, r, Metric::Linf, 0);
         if exact >= 50 {
             pairs.push((est.estimate_pair_count(r), exact as f64));
         }
@@ -35,10 +30,11 @@ fn cross_error(est: &SelectivityEstimator, a: &PointSet<2>, b: &PointSet<2>) -> 
 fn self_error(est: &SelectivityEstimator, a: &PointSet<2>) -> f64 {
     let law = est.law();
     let (lo, hi) = (law.fit.x_lo, law.fit.x_hi);
+    let prepared = PreparedSet::new(a.points());
     let mut pairs = Vec::new();
     for i in 0..8 {
         let r = lo * (hi / lo).powf(i as f64 / 7.0);
-        let exact = self_pair_count(JoinAlgorithm::ParSweep, a.points(), r, Metric::Linf);
+        let exact = prepared.self_count(r, Metric::Linf, 0);
         if exact >= 50 {
             pairs.push((est.estimate_pair_count(r), exact as f64));
         }
